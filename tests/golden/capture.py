@@ -1,0 +1,204 @@
+"""Golden CLI corpus: the cases, how one is run, and a writer for the files.
+
+Each case is an argv for ``onerel.cli.main``, run in-process from the
+repository root.  Its golden file ``tests/golden/<case>.txt`` records the
+exit status, stdout and stderr byte for byte; ``tests/test_golden.py``
+compares a fresh run against it.  Rewrite the files only when an output is
+meant to change, and review the diff:
+
+    PYTHONPATH=src python3 tests/golden/capture.py          # every case
+    PYTHONPATH=src python3 tests/golden/capture.py fox_a    # named cases
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+ROOT = GOLDEN.parent.parent
+INPUTS = "tests/golden/inputs"
+
+TREFOIL = "samples/trefoil.grp"
+TORUS = "samples/torus.grp"
+BS12 = "samples/bs12.grp"
+CYCLIC6 = "samples/cyclic6.grp"
+THETA = "samples/theta.graph"
+
+# trefoil quotients <a, b | a^2*b^-3> by group order
+LADDER = {
+    6: "a -> (1 2), b -> (1 2 3)",
+    12: "a -> (1 2)(3 4), b -> (1 2 3)",
+    60: "a -> (1 2)(3 4), b -> (1 3 5)",
+}
+
+
+def _both(name, argv):
+    """The case in text mode and under ``--json``."""
+    return [(name, argv), (f"{name}_json", argv + ["--json"])]
+
+
+def _cases():
+    out = []
+    for name, path, word, gens in (
+            ("trefoil", TREFOIL, "a*b*a^-1", "ab"),
+            ("trefoil_relator", TREFOIL, "a^2*b^-3", "ab"),
+            ("trefoil_long", TREFOIL, "a^2*b^-1*a^-3*b^2*a*b*a^-1*b^3", "ab"),
+            ("commutator", TORUS, "[a, b]*[a^-1, b^2]*a^3*b^-1", "ab"),
+            ("bs12", BS12, "t*a*t^-1*a^-2*t^-1*a^3*t^2", "at"),
+            ("cyclic6", CYCLIC6, "b^-2*a*b*a^-2*b^3*a", "ab"),
+            ("identity", TREFOIL, "1", "a")):
+        for g in gens:
+            out += _both(f"fox_{name}_{g}",
+                         ["fox", "--file", path, "--word", word, "--gen", g])
+    out += _both("fox_unknown_generator",
+                 ["fox", "--file", TREFOIL, "--word", "a*c", "--gen", "a"])
+
+    for name, path in (("trefoil", TREFOIL), ("torus", TORUS), ("bs12", BS12),
+                       ("cyclic6", CYCLIC6)):
+        out += _both(f"jacobian_{name}", ["jacobian", "--file", path])
+    for cmd in ("jacobian", "trapezoid"):
+        out += _both(f"{cmd}_torus_abelianize",
+                     [cmd, "--file", TORUS, "--abelianize"])
+        out += _both(f"{cmd}_trefoil_to_abelian",
+                     [cmd, "--file", TREFOIL, "--to-abelian", "a=3,b=2"])
+        out += _both(f"{cmd}_bs12_to_abelian",
+                     [cmd, "--file", BS12, "--to-abelian", "a=0,t=1"])
+        out += _both(f"{cmd}_trefoil_quotient",
+                     [cmd, "--file", TREFOIL, "--quotient", LADDER[6]])
+        out += _both(f"{cmd}_trefoil_quotient_q",
+                     [cmd, "--file", TREFOIL, "--quotient", LADDER[12], "--ring", "Q"])
+    out += _both("jacobian_bs12_abelianize_refused",
+                 ["jacobian", "--file", BS12, "--abelianize"])
+    out += _both("jacobian_quotient_not_killing",
+                 ["jacobian", "--file", TREFOIL, "--quotient", "a -> (1 2 3), b -> ()"])
+
+    out += _both("trapezoid_trefoil", ["trapezoid", "--file", TREFOIL])
+    out += _both("trapezoid_ordered",
+                 ["trapezoid", "--file", TREFOIL, "--to-abelian", "a=3,b=2",
+                  "--certify", "orderedOracle"])
+    out += _both("trapezoid_finite_search",
+                 ["trapezoid", "--file", CYCLIC6, "--ring", "Q",
+                  "--certify", "finiteSearch"])
+    out += _both("trapezoid_row_fixed",
+                 ["trapezoid", "--file", TORUS, "--row-fixed"])
+
+    for name, path in (("trefoil", TREFOIL), ("torus", TORUS), ("bs12", BS12),
+                       ("cyclic6", CYCLIC6)):
+        out += _both(f"complex_{name}", ["complex", "--file", path])
+    out += _both("complex_cyclic6_f3", ["complex", "--file", CYCLIC6, "--ring", "3"])
+    for order, images in LADDER.items():
+        for ring, tag in (("Z", "z"), ("2", "f2")):
+            out += _both(f"complex_trefoil_{order}_{tag}",
+                         ["complex", "--file", TREFOIL, "--quotient", images,
+                          "--ring", ring])
+
+    for name, path in (("trefoil", TREFOIL), ("torus", TORUS), ("bs12", BS12),
+                       ("cyclic6", CYCLIC6),
+                       ("bs13", f"{INPUTS}/bs13.grp"),
+                       ("three_gens", f"{INPUTS}/three_gens.grp"),
+                       ("two_steps", f"{INPUTS}/two_steps.grp"),
+                       ("steps25", f"{INPUTS}/steps25.grp")):
+        out += _both(f"hierarchy_{name}", ["hierarchy", "--file", path])
+    out += _both("hierarchy_depth_1",
+                 ["hierarchy", "--file", f"{INPUTS}/two_steps.grp", "--max-depth", "1"])
+
+    out += _both("seqcheck_large_entry",
+                 ["seqcheck", "--a", "2", "--b", "3", "--seq", "0,3,1,4,0"])
+    out += _both("seqcheck_sum_zero",
+                 ["seqcheck", "--a", "2", "--b", "3", "--seq", "0,0,0"])
+    out += _both("seqcheck_not_coprime",
+                 ["seqcheck", "--a", "2", "--b", "2", "--seq", "0,0,0"])
+
+    out += _both("upcheck_z_left",
+                 ["upcheck", "--oracle", "z", "--A", "0,1", "--B", "0,5",
+                  "--k", "2", "--side", "left"])
+    out += _both("upcheck_z2", ["upcheck", "--oracle", "z2", "--A", "0:0,1:0,0:1",
+                                "--B", "0:0,1:1", "--k", "3"])
+    out += _both("upcheck_mod", ["upcheck", "--oracle", "mod:4", "--A", "0,2",
+                                 "--B", "0,2", "--k", "1", "--side", "right"])
+    out += _both("upcheck_free", ["upcheck", "--oracle", "free:a+b",
+                                  "--A", "a,b,a*b", "--B", "1,b^-1", "--k", "2"])
+    out += _both("upcheck_bad_oracle",
+                 ["upcheck", "--oracle", "sym:3", "--A", "0", "--B", "0"])
+
+    out += _both("engulf_cyclic_f3",
+                 ["engulf", "--cyclic", "2", "--coeffs", "1,1", "--field", "3"])
+    out += _both("engulf_cyclic_q",
+                 ["engulf", "--cyclic", "5", "--coeffs", "1,-1,0,2", "--side", "right"])
+    out += _both("engulf_cyclic6",
+                 ["engulf", "--file", CYCLIC6, "--terms", "1:1;a:1;b:-1"])
+    out += _both("engulf_trefoil_quotient",
+                 ["engulf", "--file", TREFOIL, "--quotient", LADDER[6],
+                  "--terms", "a:1;b:1;1:-1", "--field", "2"])
+    out += _both("engulf_infinite_refused",
+                 ["engulf", "--file", TREFOIL, "--terms", "a:1", "--field", "Z"])
+
+    out += _both("weinbaum_cyclic6", ["weinbaum", "--file", CYCLIC6])
+    out += _both("weinbaum_trefoil_quotient",
+                 ["weinbaum", "--file", TREFOIL, "--quotient", LADDER[12]])
+
+    out += _both("lift_theta", ["lift", "--graph", THETA, "--h-edges", "e1",
+                                "--cycle", "e1:1,e2:-1"])
+    out += _both("lift_theta_q", ["lift", "--graph", THETA, "--h-edges", "e1,e2",
+                                  "--cycle", "e1:2,e3:-2", "--ring", "Q"])
+    out += _both("lift_not_cycle", ["lift", "--graph", THETA, "--h-edges", "e1",
+                                     "--cycle", "e1:1"])
+
+    for n in (1, 2, 3):
+        out += _both(f"verify_example_{n}", ["verify-example", "--n", str(n)])
+
+    # refusals
+    out += _both("quotient_stanza_missing_image",
+                 ["complex", "--file", f"{INPUTS}/missing_image.grp"])
+    out += _both("quotient_stanza_bad_chunk",
+                 ["jacobian", "--file", f"{INPUTS}/bad_chunk.grp"])
+    out += _both("quotient_stanza_unknown_name",
+                 ["jacobian", "--file", f"{INPUTS}/unknown_name.grp"])
+    out += _both("quotient_option_missing_image",
+                 ["complex", "--file", TREFOIL, "--quotient", "a -> (1 2)"])
+    out += _both("quotient_option_bad_permutation",
+                 ["complex", "--file", TREFOIL, "--quotient", "a -> (1 0), b -> ()"])
+    out += _both("missing_file", ["complex", "--file", "samples/no_such.grp"])
+    out += _both("bad_ring", ["jacobian", "--file", TREFOIL, "--ring", "R"])
+    return out
+
+
+CASES = dict(_cases())
+
+
+def run(argv):
+    """``(status, stdout, stderr)`` of one in-process CLI run from the root."""
+    from onerel.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return status, out.getvalue(), err.getvalue()
+
+
+def render(status, stdout, stderr):
+    """The golden-file text of one run."""
+    return f"status: {status}\n--- stdout\n{stdout}--- stderr\n{stderr}"
+
+
+def path_of(name):
+    return GOLDEN / f"{name}.txt"
+
+
+def main(names):
+    for name in names or CASES:
+        path_of(name).write_text(render(*run(CASES[name])), encoding="utf-8")
+    print(f"wrote {len(names or CASES)} golden files under {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
