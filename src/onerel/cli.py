@@ -22,8 +22,8 @@ from .graphs import Graph, NotApplicable, lift_cycle
 from .groupring import GroupRingElement, engulfing_search_finite, \
     unique_products_check
 from .hierarchy import build_hierarchy, number_lemma_check
-from .oracles import FreeOracle, ModOracle, ZPowOracle, parse_permutation
-from .presentations import load_presentation, parse_word
+from .oracles import FreeOracle, ModOracle, ZPowOracle
+from .presentations import load_presentation, parse_quotient, parse_word
 from .trapezoid import StaircaseCertificate, certify_diagonal, find_staircase
 
 SCHEMA = 1
@@ -39,45 +39,15 @@ def _quotient_map(pres, args):
             images[pres.gen_index(name.strip())] = int(value)
         return QuotientMap.to_abelian(pres, images)
     if getattr(args, "quotient", None):
-        images = _parse_inline_quotient(pres, args.quotient)
-        return QuotientMap.permutation(pres, images)
+        return QuotientMap.permutation(pres, parse_quotient(args.quotient, pres.names))
     if pres.quotient_images is not None:
         return QuotientMap.permutation(pres)
     return QuotientMap.trivial(pres)
 
 
-def _parse_inline_quotient(pres, text):
-    images = {}
-    chunks = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            chunks.append(current)
-            current = ""
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        current += ch
-    chunks.append(current)
-    raw = {}
-    for chunk in chunks:
-        if not chunk.strip():
-            continue
-        name, perm = chunk.split("->")
-        raw[name.strip()] = perm.strip()
-    missing = [g for g in pres.names if g not in raw]
-    if missing:
-        raise InputError(f"quotient is missing images for {missing}")
-    degree = max(len(parse_permutation(p)) for p in raw.values())
-    for name, perm in raw.items():
-        images[name] = parse_permutation(perm, degree)
-    return images
-
-
 def _finite_quotient(pres, args):
     if getattr(args, "quotient", None):
-        return FiniteQuotient(pres, _parse_inline_quotient(pres, args.quotient))
+        return FiniteQuotient(pres, parse_quotient(args.quotient, pres.names))
     if pres.quotient_images is not None:
         return FiniteQuotient(pres)
     return FiniteQuotient.trivial(pres)
@@ -90,12 +60,12 @@ def _cmd_fox(args):
     pres = load_presentation(args.file)
     w = parse_word(args.word, pres.names)
     idx = pres.gen_index(args.gen)
-    d = fox_derivative(w, idx)
+    d = fox_derivative(w, idx, FreeOracle(pres.names))
     return {
         "word": w.render(pres.names),
         "generator": args.gen,
-        "derivative": d.render(pres.names),
-    }, d.render(pres.names)
+        "derivative": d.render(),
+    }, d.render()
 
 
 def _cmd_jacobian(args):

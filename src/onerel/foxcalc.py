@@ -13,136 +13,55 @@ from __future__ import annotations
 from .domains import Domain, ZZ
 from .errors import InputError, InternalCheckError
 from .groupring import GroupRingElement, GroupRingMatrix
-from .oracles import PermOracle, TRIVIAL_ORACLE, ZPowOracle
+from .oracles import FreeOracle, PermOracle, TRIVIAL_ORACLE, ZPowOracle
 from .presentations import Presentation
 from .words import Word
-
-
-class FreeRingElement:
-    """Element of the integral free-group ring: finite map Word -> int."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc = {}
-        if isinstance(terms, dict):
-            terms = terms.items()
-        for word, coeff in terms:
-            acc[word] = acc.get(word, 0) + int(coeff)
-        self.terms = {w: c for w, c in acc.items() if c}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls([(Word(), 1)])
-
-    @classmethod
-    def of(cls, word, coeff=1):
-        return cls([(word, coeff)])
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return FreeRingElement(terms)
-
-    def __neg__(self):
-        return FreeRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                terms[w] = terms.get(w, 0) + c1 * c2
-        return FreeRingElement(terms)
-
-    def word_mul(self, word, side="left"):
-        if side == "left":
-            return FreeRingElement({word * w: c for w, c in self.terms.items()})
-        return FreeRingElement({w * word: c for w, c in self.terms.items()})
-
-    def scale(self, n):
-        return FreeRingElement({w: n * c for w, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FreeRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def render(self, names):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w.letters)):
-            c = self.terms[w]
-            body = w.render(names)
-            if body == "1":
-                piece = str(c)
-            elif c == 1:
-                piece = body
-            elif c == -1:
-                piece = f"-{body}"
-            else:
-                piece = f"{c}*{body}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
 
 
 _DERIVATIVE_CACHE: dict = {}
 
 
-def clear_derivative_cache():
-    _DERIVATIVE_CACHE.clear()
+def _word_derivative(word: Word, gen_index: int):
+    """Terms ``(prefix, +-1)`` of a word's derivative.
 
-
-def _word_derivative(word: Word, gen_index: int) -> FreeRingElement:
+    They depend on no oracle, so one cache keyed by the letters serves every
+    alphabet.
+    """
     key = (word.letters, gen_index)
-    cached = _DERIVATIVE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    terms = {}
-    for k, (i, s) in enumerate(word.letters):
-        if i != gen_index:
-            continue
-        prefix = word.prefix(k) if s > 0 else word.prefix(k + 1)
-        terms[prefix] = terms.get(prefix, 0) + (1 if s > 0 else -1)
-    result = FreeRingElement(terms)
-    _DERIVATIVE_CACHE[key] = result
-    return result
+    terms = _DERIVATIVE_CACHE.get(key)
+    if terms is None:
+        terms = tuple((word.prefix(k), 1) if s > 0 else (word.prefix(k + 1), -1)
+                      for k, (i, s) in enumerate(word.letters) if i == gen_index)
+        _DERIVATIVE_CACHE[key] = terms
+    return terms
 
 
-def fox_derivative(x, gen_index: int) -> FreeRingElement:
-    """Derivative of a Word or FreeRingElement with respect to one generator."""
+def fox_derivative(x, gen_index: int,
+                   oracle: FreeOracle | None = None) -> GroupRingElement:
+    """Derivative of a Word or a free-group-ring element w.r.t. one generator.
+
+    A Word's derivative lies in ``Z[oracle]``; an element's derivative lies
+    over the element's own oracle and domain.
+    """
     if isinstance(x, Word):
-        return _word_derivative(x, gen_index)
-    out = FreeRingElement()
-    for w, c in x.terms.items():
-        out = out + _word_derivative(w, gen_index).scale(c)
-    return out
+        if oracle is None:
+            raise InputError("the derivative of a word needs a free oracle")
+        return GroupRingElement(oracle, ZZ, _word_derivative(x, gen_index))
+    dom = x.domain
+    return GroupRingElement(x.oracle, dom, [
+        (prefix, dom.mul(dom.coerce(sign), c))
+        for w, c in x.terms.values() for prefix, sign in _word_derivative(w, gen_index)])
 
 
 def fundamental_identity_check(w: Word, alphabet_size: int) -> bool:
     """Exact check of ``sum_s (dw/ds) * (s - 1) == w - 1`` in the free ring."""
-    total = FreeRingElement()
+    oracle = FreeOracle([f"x{s}" for s in range(alphabet_size)])
+    one = GroupRingElement.one(oracle, ZZ)
+    total = GroupRingElement.zero(oracle, ZZ)
     for s in range(alphabet_size):
-        d = _word_derivative(w, s)
-        gen = Word([(s, 1)])
-        total = total + (d.word_mul(gen, side="right") - d)
-    return total == FreeRingElement([(w, 1), (Word(), -1)])
+        gen = GroupRingElement.of(oracle, ZZ, Word([(s, 1)]))
+        total = total + fox_derivative(w, s, oracle) * (gen - one)
+    return total == GroupRingElement.of(oracle, ZZ, w) - one
 
 
 class QuotientMap:
@@ -216,18 +135,20 @@ class QuotientMap:
             out = self.oracle.multiply(out, img)
         return out
 
-    def apply_ring(self, x: FreeRingElement, domain: Domain) -> GroupRingElement:
+    def apply_ring(self, x: GroupRingElement, domain: Domain) -> GroupRingElement:
+        """Push a free-group-ring element forward to the quotient's ring."""
         return GroupRingElement(
             self.oracle, domain,
-            [(self.apply(w), c) for w, c in x.terms.items()])
+            [(self.apply(w), c) for w, c in x.terms.values()])
 
 
 def jacobian(presentation: Presentation, quotient: QuotientMap,
              domain: Domain = ZZ) -> GroupRingMatrix:
     """Matrix of pushed-forward derivatives: rows relators, columns generators."""
+    free = FreeOracle(presentation.names)
     entries = []
     for w in presentation.relators:
-        row = [quotient.apply_ring(fox_derivative(w, s), domain)
+        row = [quotient.apply_ring(fox_derivative(w, s, free), domain)
                for s in range(presentation.rank)]
         entries.append(row)
     return GroupRingMatrix(
@@ -271,10 +192,6 @@ class ResolutionComplex:
                 aug = self.domain.add(aug, c)
             if not self.domain.is_zero(aug):
                 raise InternalCheckError("d0 o d1 is nonzero")
-
-    def relation_module_rows(self):
-        """Rows of d2, the module generators of the image of d2."""
-        return [list(row) for row in self.d2.entries]
 
 
 def resolution_complex(presentation, quotient, domain=ZZ) -> ResolutionComplex:

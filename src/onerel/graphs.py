@@ -9,6 +9,7 @@ off ``H``, re-verifying every part of the certificate.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .domains import ZZ
@@ -22,6 +23,7 @@ class Graph:
 
     def __init__(self, vertices, edges):
         self.vertices = sorted(set(vertices))
+        known = set(self.vertices)
         self.edges = []
         labels = set()
         for tail, head, *rest in edges:
@@ -29,7 +31,7 @@ class Graph:
             if label in labels:
                 raise InputError(f"duplicate edge label {label!r}")
             labels.add(label)
-            if tail not in self.vertices or head not in self.vertices:
+            if tail not in known or head not in known:
                 raise InputError(f"edge {label} touches an unknown vertex")
             self.edges.append((tail, head, label))
         self.label_index = {lab: i for i, (_, _, lab) in enumerate(self.edges)}
@@ -77,9 +79,9 @@ class Graph:
         ``parent[v] = (edge index, direction, previous vertex)``; components
         are rooted at their least vertex (or at the given roots first).
         """
-        allowed = set(range(len(self.edges))) if edge_subset is None else set(edge_subset)
+        allowed = range(len(self.edges)) if edge_subset is None else sorted(set(edge_subset))
         adjacency = {v: [] for v in self.vertices}
-        for i in sorted(allowed):
+        for i in allowed:
             tail, head, _ = self.edges[i]
             adjacency[tail].append((i, 1, head))
             adjacency[head].append((i, -1, tail))
@@ -90,9 +92,9 @@ class Graph:
             if root in parent:
                 continue
             parent[root] = None
-            queue = [root]
+            queue = deque([root])
             while queue:
-                v = queue.pop(0)
+                v = queue.popleft()
                 for i, direction, other in adjacency[v]:
                     if other not in parent:
                         parent[other] = (i, direction, v)
@@ -100,14 +102,15 @@ class Graph:
                         queue.append(other)
         return tree, parent
 
-    def tree_path(self, parent, v):
-        """Edges (index, direction) along the forest path root -> v."""
-        path = []
-        while parent[v] is not None:
-            i, direction, prev = parent[v]
-            path.append((i, direction))
-            v = prev
-        return list(reversed(path))
+
+def tree_path(parent, v):
+    """Edges (index, direction) along the forest path root -> v."""
+    path = []
+    while parent[v] is not None:
+        i, direction, prev = parent[v]
+        path.append((i, direction))
+        v = prev
+    return list(reversed(path))
 
 
 @dataclass
@@ -132,7 +135,7 @@ def cycle_space(graph: Graph, domain=ZZ) -> GraphWithCycleSpace:
         walk = [(i, 1)]
         chain = {i: domain.one}
         # close up with the reduced forest path head -> tail
-        path = _tree_route(graph, parent, head, tail)
+        path = _tree_route(parent, head, tail)
         for j, direction in path:
             walk.append((j, direction))
             coeff = chain.get(j, domain.zero)
@@ -147,10 +150,10 @@ def cycle_space(graph: Graph, domain=ZZ) -> GraphWithCycleSpace:
                                basis=basis, basis_walks=walks)
 
 
-def _tree_route(graph, parent, start, goal):
+def _tree_route(parent, start, goal):
     """Reduced forest path start -> goal as (edge, direction) pairs."""
-    up_start = graph.tree_path(parent, start)   # root -> start
-    up_goal = graph.tree_path(parent, goal)     # root -> goal
+    up_start = tree_path(parent, start)   # root -> start
+    up_goal = tree_path(parent, goal)     # root -> goal
     k = 0
     while k < len(up_start) and k < len(up_goal) and up_start[k] == up_goal[k]:
         k += 1
@@ -263,7 +266,7 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     last_reason = "no unit solution"
     for e_star in candidates:
         tail, head, _ = graph.edges[e_star]
-        walk = [(e_star, 1)] + _tree_route(graph, parent, head, tail)
+        walk = [(e_star, 1)] + _tree_route(parent, head, tail)
         chain = {}
         for j, d in walk:
             c = domain.add(chain.get(j, domain.zero), domain.coerce(d))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .domains import Domain, PrimeFieldDomain, RationalDomain
 from .errors import InputError, InternalCheckError, UnsupportedError
 from .intlinalg import nullspace
-from .magnus import magnus_compare  # noqa: F401  (re-export: order used by FreeOracle)
 from .oracles import GroupOracle
 
 
@@ -124,20 +123,11 @@ class GroupRingElement:
             self.oracle, self.domain,
             [(e, self.domain.mul(coeff, c)) for e, c in self.terms.values()])
 
-    def translate(self, g, side="left"):
-        """Multiply by a single group element: g*x (left) or x*g (right)."""
-        orc = self.oracle
-        if side == "left":
-            terms = [(orc.multiply(g, e), c) for e, c in self.terms.values()]
-        else:
-            terms = [(orc.multiply(e, g), c) for e, c in self.terms.values()]
-        return GroupRingElement(orc, self.domain, terms)
-
     def render(self):
         if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.terms, key=repr):
+        for k in sorted(self.terms, key=self.oracle.term_order):
             elem, coeff = self.terms[k]
             ge = self.oracle.render(elem)
             if ge == "1":

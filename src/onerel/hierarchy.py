@@ -13,10 +13,10 @@ relator exactly, a check performed on every step.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalCheckError
+from .graphs import Graph, tree_path
 from .intlinalg import kernel_basis, row_hnf
 from .presentations import Presentation
 from .words import (Word, cyclic_reduce, exponent_vector, is_cyclic_conjugate,
@@ -297,48 +297,6 @@ def _window_edges(rank, phi, low, high):
     return edges
 
 
-def _spanning_forest(vertices, edges, traversed, root):
-    """BFS forest from ``root``: traversed edges first, then the rest.
-
-    Within each class the tie-break is (generator, level).  Returns the tree
-    edge set and a parent map ``vertex -> (edge, direction, previous vertex)``.
-    """
-    by_vertex = {}
-    step_of = {}
-    for (g, lvl), step in edges.items():
-        step_of[(g, lvl)] = step
-        by_vertex.setdefault(lvl, []).append((g, lvl))
-        by_vertex.setdefault(lvl + step, []).append((g, lvl))
-    for lvl in by_vertex:
-        by_vertex[lvl] = sorted(set(by_vertex[lvl]),
-                                key=lambda e: (e not in traversed, e[0], e[1]))
-    tree = set()
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for edge in by_vertex.get(v, ()):
-            g, lvl = edge
-            other = lvl + step_of[edge] if lvl == v else lvl
-            if lvl == v and lvl + step_of[edge] == v:
-                continue  # loop edge
-            if other not in parent:
-                parent[other] = (edge, 1 if lvl == v else -1, v)
-                tree.add(edge)
-                queue.append(other)
-    return tree, parent
-
-
-def _tree_path_letters(parent, v):
-    """Letters (gen, sign) of the forest path root -> v in the source group."""
-    letters = []
-    while parent[v] is not None:
-        (g, _), direction, prev = parent[v]
-        letters.append((g, direction))
-        v = prev
-    return list(reversed(letters))
-
-
 def _fresh_stable_name(taken):
     if "t" not in taken:
         return "t"
@@ -384,12 +342,20 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
     if low == high:
         raise InternalCheckError("lifted relator stays at one level")
 
-    window_edges = {e: phi.values[e[0]] for e in _window_edges(p.rank, phi, low, high)}
+    # BFS forest from level 0 that prefers the edges the lifted path traverses
     traversed = {(g, lvl) for g, lvl, _ in path}
-    tree, parent = _spanning_forest(range(low, high + 1), window_edges, traversed, 0)
-    unreached = [v for v in range(low, high + 1) if v not in parent]
-    if unreached:
-        raise InternalCheckError(f"window levels {unreached} are disconnected")
+    window_edges = sorted(_window_edges(p.rank, phi, low, high),
+                          key=lambda e: (e not in traversed, e))
+    window = _window_graph(window_edges, phi, low, high)
+    tree_idx, parent = window.spanning_forest(roots=[0])
+    apart = [v for v, link in parent.items() if link is None and v != 0]
+    if apart:
+        raise InternalCheckError(f"window levels {apart} are not reached from level 0")
+    tree = {window_edges[i] for i in tree_idx}
+
+    def letters_to(v):
+        """Letters (gen, sign) of the forest path level 0 -> v in the source group."""
+        return [(window_edges[i][0], direction) for i, direction in tree_path(parent, v)]
 
     nontree = sorted(e for e in window_edges if e not in tree)
     base_names = []
@@ -406,8 +372,8 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
     expansions = {}
     for edge in nontree:
         g, lvl = edge
-        to_tail = _tree_path_letters(parent, lvl)
-        to_head = _tree_path_letters(parent, lvl + phi.values[g])
+        to_tail = letters_to(lvl)
+        to_head = letters_to(lvl + phi.values[g])
         letters = to_tail + [(g, 1)] + [(i, -s) for i, s in reversed(to_head)]
         expansions[name_of[edge]] = Word(letters)
 
@@ -441,7 +407,7 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
     # associated subgroups: fundamental loops of the two sub-windows written
     # over the base generators; translation by the deck letter matches the
     # k-th generator of J0 with the k-th generator of J1
-    j0, j1 = _associated_words(window_edges, low, high, path_to_base_word)
+    j0, j1 = _associated_words(window_edges, phi, low, high, path_to_base_word)
 
     return HNNStep(source=p, phi=phi, window=(low, high), base=base,
                    relator_word=u_root, stable_letter=_fresh_stable_name(set(p.names)),
@@ -449,42 +415,39 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
                    assoc_j0=j0, assoc_j1=j1, power=power)
 
 
-def _associated_words(window_edges, low, high, path_to_base_word):
-    """Fundamental-loop generators of the two sub-windows over the base."""
+def _window_graph(edges, phi, low, high):
+    """Levels low..high joined by the cover edges (gen, level), in list order."""
+    return Graph(range(low, high + 1), [(lvl, lvl + phi.values[g]) for g, lvl in edges])
+
+
+def _associated_words(window_edges, phi, low, high, path_to_base_word):
+    """Fundamental-loop generators of the two sub-windows over the base.
+
+    Loops are listed component by component in level order, and by
+    (generator, level) of their non-forest edge within a component.
+    """
 
     def loops(shift):
         lo, hi = low + shift, high - 1 + shift
-        sub_edges = {e: s for e, s in window_edges.items()
-                     if lo <= e[1] <= hi and lo <= e[1] + s <= hi}
+        sub_edges = sorted((g, lvl) for g, lvl in window_edges
+                           if lo <= lvl <= hi and lo <= lvl + phi.values[g] <= hi)
+        sub_tree, sub_parent = _window_graph(sub_edges, phi, lo, hi).spanning_forest()
+        component = {}  # level -> least level of its component
+        for v, link in sub_parent.items():
+            component[v] = v if link is None else component[link[2]]
+
+        def path(v):
+            return [(*sub_edges[i], d) for i, d in tree_path(sub_parent, v)]
+
         out = []
-        placed = set()
-        for start in range(lo, hi + 1):
-            if start in placed:
-                continue
-            sub_tree, sub_parent = _spanning_forest(
-                range(lo, hi + 1), sub_edges, set(), start)
-            placed |= set(sub_parent)
-            for edge in sorted(e for e in sub_edges if e not in sub_tree):
-                g, lvl = edge
-                if lvl not in sub_parent:
-                    continue
-                here = _sub_tree_path(sub_parent, lvl)
-                back = _sub_tree_path(sub_parent, lvl + sub_edges[edge])
-                cycle = here + [(g, lvl, 1)] + [(gg, ll, -ss) for gg, ll, ss in reversed(back)]
-                base_word = path_to_base_word(cycle)
-                out.append(base_word)
+        for _, i in sorted((component[lvl], i) for i, (g, lvl) in enumerate(sub_edges)
+                           if i not in sub_tree):
+            g, lvl = sub_edges[i]
+            back = [(h, at, -d) for h, at, d in reversed(path(lvl + phi.values[g]))]
+            out.append(path_to_base_word(path(lvl) + [(g, lvl, 1)] + back))
         return out
 
     return loops(0), loops(1)
-
-
-def _sub_tree_path(parent, v):
-    path = []
-    while parent[v] is not None:
-        (g, lvl), direction, prev = parent[v]
-        path.append((g, lvl, direction))
-        v = prev
-    return list(reversed(path))
 
 
 # -- iterated hierarchy ----------------------------------------------------------

@@ -41,12 +41,9 @@ class GroupOracle:
     def render(self, a):
         return str(a)
 
-    def power(self, a, n):
-        out = self.identity()
-        base = a if n >= 0 else self.invert(a)
-        for _ in range(abs(n)):
-            out = self.multiply(out, base)
-        return out
+    def term_order(self, key):
+        """Sort key placing a key's term when a group-ring element is rendered."""
+        return repr(key)
 
 
 class ModOracle(GroupOracle):
@@ -272,3 +269,6 @@ class FreeOracle(GroupOracle):
 
     def render(self, a):
         return a.render(self.names)
+
+    def term_order(self, key):
+        return (len(key), key)  # shorter words first, then by letters

@@ -21,7 +21,7 @@ import re
 
 from .errors import InputError
 from .oracles import parse_permutation
-from .words import Generator, Word, cyclic_reduce
+from .words import Word, cyclic_reduce
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -35,7 +35,6 @@ class Presentation:
         for n in names:
             if not _NAME_RE.fullmatch(n):
                 raise InputError(f"bad generator name {n!r}")
-        self.generators = [Generator(n, i) for i, n in enumerate(names)]
         self.names = names
         self.relators = []
         self.relator_conjugators = []
@@ -183,6 +182,31 @@ def parse_word(text, names) -> Word:
 # -- presentation files --------------------------------------------------------
 
 
+def parse_quotient(text, names) -> dict:
+    """Permutation images from ``a -> (1 2 3), b -> ()``, keyed by name.
+
+    Every generator in ``names`` needs an image; all images are taken on the
+    largest number of points any of them mentions.
+    """
+    raw = {}
+    for chunk in re.split(r",(?![^()]*\))", text):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "->" not in chunk:
+            raise InputError(f"bad quotient chunk {chunk!r}")
+        gname, perm = chunk.split("->", 1)
+        gname = gname.strip()
+        if gname not in names:
+            raise InputError(f"quotient names unknown generator {gname!r}")
+        raw[gname] = perm.strip()
+    missing = [g for g in names if g not in raw]
+    if missing:
+        raise InputError(f"quotient is missing images for {missing}")
+    degree = max((len(parse_permutation(p)) for p in raw.values()), default=1)
+    return {g: parse_permutation(raw[g], degree) for g in names}
+
+
 def _strip_comment(line):
     return line.split("#", 1)[0]
 
@@ -191,7 +215,7 @@ def parse_presentation(text) -> Presentation:
     gens = None
     rels = []
     partition = None
-    quotient = None
+    images = None
     abelianize = False
     for raw in text.splitlines():
         line = _strip_comment(raw).strip()
@@ -228,32 +252,11 @@ def parse_presentation(text) -> Presentation:
         elif key == "quotient":
             if gens is None:
                 raise InputError("quotient stanza before gens stanza")
-            quotient = {}
-            for chunk in re.split(r",(?![^()]*\))", value):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                if "->" not in chunk:
-                    raise InputError(f"bad quotient chunk {chunk!r}")
-                gname, perm = chunk.split("->", 1)
-                gname = gname.strip()
-                if gname not in gens:
-                    raise InputError(f"quotient names unknown generator {gname!r}")
-                quotient[gname] = perm.strip()
+            images = parse_quotient(value, gens)
         else:
             raise InputError(f"unknown stanza {key!r}")
     if gens is None:
         raise InputError("presentation file is missing a gens stanza")
-
-    images = None
-    if quotient is not None:
-        missing = [g for g in gens if g not in quotient]
-        if missing:
-            raise InputError(f"quotient stanza is missing images for {missing}")
-        degree = 1
-        parsed = {g: parse_permutation(p) for g, p in quotient.items()}
-        degree = max([degree] + [len(p) for p in parsed.values()])
-        images = {g: parse_permutation(quotient[g], degree) for g in gens}
 
     p = Presentation(gens, rels, partition=partition, quotient_images=images,
                      abelianize=abelianize)

@@ -13,11 +13,6 @@ from typing import Iterable, NamedTuple
 from .errors import InputError
 
 
-class Generator(NamedTuple):
-    name: str
-    index: int
-
-
 class Word:
     """A freely reduced word; ``letters`` is a tuple of (index, sign) pairs."""
 

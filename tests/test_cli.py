@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from onerel.cli import dispatch, render
+from onerel.cli import dispatch, main, render
 
 
 @pytest.fixture
@@ -109,6 +109,18 @@ class TestDispatch:
         with pytest.raises(SystemExit) as exc:
             dispatch(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_malformed_quotient_option_is_a_json_refusal(self, tmp_path, capsys):
+        path = tmp_path / "torus.grp"
+        path.write_text("gens: a, b\nrels: [a, b]\n")
+        status = main(["complex", "--file", str(path),
+                       "--quotient", "a (1 2), b -> ()", "--json"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "schema": 1, "command": "complex",
+            "error": "bad quotient chunk 'a (1 2)'"}
 
     def test_domain_error_exit_one(self):
         status, report, text = dispatch(
