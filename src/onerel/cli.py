@@ -13,8 +13,7 @@ import json
 import sys
 
 from .bsverify import qn_report
-from .covers import FiniteQuotient, build_cover_complex, generation_check, \
-    homology, weinbaum_scan
+from .covers import FiniteQuotient, build_cover_complex, homology, weinbaum_scan
 from .domains import parse_domain
 from .errors import InputError, UnsupportedError
 from .foxcalc import QuotientMap, fox_derivative, resolution_complex
@@ -29,14 +28,22 @@ from .trapezoid import StaircaseCertificate, certify_diagonal, find_staircase
 SCHEMA = 1
 
 
+def _integer(text, what):
+    """``int(text)``, refused as an :class:`InputError` naming the token."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} {text.strip()!r} is not an integer") from None
+
+
 def _quotient_map(pres, args):
     if getattr(args, "abelianize", False) or pres.abelianize_requested:
         return QuotientMap.abelianization(pres)
     if getattr(args, "to_abelian", None):
         images = {}
         for chunk in args.to_abelian.split(","):
-            name, value = chunk.split("=")
-            images[pres.gen_index(name.strip())] = int(value)
+            name, _, value = chunk.partition("=")
+            images[pres.gen_index(name.strip())] = _integer(value, "image")
         return QuotientMap.to_abelian(pres, images)
     if getattr(args, "quotient", None):
         return QuotientMap.permutation(pres, parse_quotient(args.quotient, pres.names))
@@ -102,7 +109,8 @@ def _cmd_complex(args):
             "h0_free_rank": h.h0_free_rank, "h0_torsion": h.h0_torsion,
             "h1_free_rank": h.h1_free_rank, "h1_torsion": h.h1_torsion,
         },
-        "generation_full_rows": generation_check(c, range(len(c.d2))),
+        # all rows generate the cycle lattice ker d1 exactly when H1 = 0
+        "generation_full_rows": h.h1_free_rank == 0 and not h.h1_torsion,
     }
     if args.triplets:
         with open(args.triplets, "w", encoding="utf-8") as fh:
@@ -173,7 +181,7 @@ def _cmd_hierarchy(args):
 
 
 def _cmd_seqcheck(args):
-    values = [int(v) for v in args.seq.split(",")]
+    values = [_integer(v, "sequence value") for v in args.seq.split(",")]
     verdict = number_lemma_check(args.a, args.b, values)
     return {"a": args.a, "b": args.b, "seq": values,
             "verdict": verdict.kind, "index": verdict.index,
@@ -183,11 +191,11 @@ def _cmd_seqcheck(args):
 def _make_oracle(spec):
     spec = spec.strip()
     if spec in ("z", "Z"):
-        return ZPowOracle(1), lambda s: (int(s),)
+        return ZPowOracle(1), lambda s: (_integer(s, "element"),)
     if spec in ("z2", "Z2"):
-        return ZPowOracle(2), lambda s: tuple(int(x) for x in s.split(":"))
+        return ZPowOracle(2), lambda s: tuple(_integer(x, "element") for x in s.split(":"))
     if spec.startswith("mod:"):
-        return ModOracle(int(spec[4:])), int
+        return ModOracle(_integer(spec[4:], "modulus")), lambda s: _integer(s, "element")
     if spec.startswith("free:"):
         names = [n.strip() for n in spec[5:].split("+")]
         oracle = FreeOracle(names)
@@ -214,10 +222,10 @@ def _cmd_upcheck(args):
 
 
 def _cmd_engulf(args):
-    if args.cyclic:
+    if args.cyclic is not None:
         oracle = ModOracle(args.cyclic)
         domain = parse_domain(args.field)
-        coeffs = [int(c) for c in args.coeffs.split(",")]
+        coeffs = [_integer(c, "coefficient") for c in args.coeffs.split(",")]
         m = GroupRingElement(oracle, domain, list(enumerate(coeffs)))
     else:
         pres = load_presentation(args.file)
@@ -229,7 +237,7 @@ def _cmd_engulf(args):
                 continue
             word_text, _, coeff = chunk.rpartition(":")
             w = parse_word(word_text.strip(), pres.names)
-            terms.append((q.image(w), int(coeff)))
+            terms.append((q.image(w), _integer(coeff, "coefficient")))
         oracle = q.oracle
         m = GroupRingElement(oracle, domain, terms)
     report = engulfing_search_finite(m, side=args.side)
@@ -248,6 +256,8 @@ def _cmd_engulf(args):
 def _cmd_weinbaum(args):
     pres = load_presentation(args.file)
     q = _finite_quotient(pres, args)
+    if not 0 <= args.relator < len(pres.relators):
+        raise InputError(f"relator index {args.relator} out of range")
     w = pres.relators[args.relator]
     scan = weinbaum_scan(w, pres, q)
     statuses = [{"subword": s.subword.render(pres.names), "status": s.status,
@@ -267,7 +277,7 @@ def _cmd_lift(args):
     chain = {}
     for chunk in args.cycle.split(","):
         label, _, coeff = chunk.rpartition(":")
-        chain[label.strip()] = int(coeff)
+        chain[label.strip()] = _integer(coeff, "coefficient")
     domain = parse_domain(args.ring)
     result = lift_cycle(graph, h_edges, chain, domain)
     if isinstance(result, NotApplicable):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .domains import ZZ
 from .errors import InputError
-from .intlinalg import (field_rank, field_solve_left, lattice_equal,
-                        solve_left)
+from .intlinalg import field_solve_left, solve_left, spans_saturated
 
 
 class Graph:
@@ -219,20 +218,13 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     off_basis = [_relabel_chain(chain, graph, _subgraph_without(graph, h))
                  for chain in off.basis]
 
-    z_rows = [_chain_vector(c, n, domain) for c in full.basis]
     k_rows = [_chain_vector(c, n, domain) for c in off_basis]
     r_vec = _chain_vector(r, n, domain)
 
-    if domain is ZZ or not domain.is_field:
-        if not lattice_equal(z_rows, k_rows + [r_vec]):
-            return NotApplicable(
-                "the cycle space is not spanned by the cycle plus off-H cycles")
-    else:
-        zr = field_rank(z_rows, domain)
-        if field_rank(k_rows + [r_vec], domain) != zr or \
-                field_rank(k_rows, domain) + 1 != zr:
-            return NotApplicable(
-                "the cycle space is not spanned by the cycle plus off-H cycles")
+    # r and the off-H cycles lie in the cycle space, a kernel and so saturated
+    if not spans_saturated(k_rows + [r_vec], full.rank(), domain):
+        return NotApplicable(
+            "the cycle space is not spanned by the cycle plus off-H cycles")
 
     # minimal support subgraph, pruned of degree <= 1 vertices
     support = sorted(r)
@@ -295,11 +287,10 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
             last_reason = "residual still meets the designated edges"
             continue
         res_vec = _chain_vector(residual, n, domain)
-        if domain is ZZ or not domain.is_field:
-            coeffs = solve_left(k_rows, res_vec) if k_rows else ([] if not any(res_vec) else None)
+        if domain.is_field:
+            coeffs = field_solve_left(k_rows, res_vec, domain)
         else:
-            coeffs = field_solve_left(k_rows, res_vec, domain) if k_rows else (
-                [] if all(domain.is_zero(x) for x in res_vec) else None)
+            coeffs = solve_left(k_rows, res_vec)
         if coeffs is None:
             last_reason = "residual is not a combination of off-H cycles"
             continue

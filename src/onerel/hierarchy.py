@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, InternalCheckError
 from .graphs import Graph, tree_path
-from .intlinalg import kernel_basis, row_hnf
 from .presentations import Presentation
 from .words import (Word, cyclic_reduce, exponent_vector, is_cyclic_conjugate,
                     is_proper_power, syllable_decompose)
@@ -41,29 +40,31 @@ class EpimorphismToZ:
 def find_epimorphism(p: Presentation) -> EpimorphismToZ:
     """Canonical surjection G -> Z for a one-relator presentation.
 
-    Computes the kernel of the relator's exponent-sum row and normalises to
-    the lexicographically least primitive vector with positive leading
-    entry.  Raises :class:`NoEpimorphism` when the abelianisation is finite.
+    Returns the last row of the Hermite form of the kernel of the relator's
+    exponent-sum vector ``v``: the primitive kernel vector with the most
+    leading zeros and a positive leading entry.  That is ``e_(n-1)`` when
+    ``v`` ends in 0, and otherwise the primitive solution supported on the
+    last two generators.  Raises :class:`NoEpimorphism` when the
+    abelianisation is finite.
     """
     if len(p.relators) != 1:
         raise InputError("epimorphism search expects exactly one relator")
     if p.rank == 0:
         raise NoEpimorphism("empty alphabet")
     vec = exponent_vector(p.relators[0], p.rank)
-    if not any(vec):
-        basis = [[1 if j == i else 0 for j in range(p.rank)] for i in range(p.rank)]
-    else:
-        basis = kernel_basis([[v] for v in vec])
-    if not basis:
+    values = [0] * p.rank
+    if vec[-1] == 0:
+        values[-1] = 1
+    elif p.rank == 1:
         raise NoEpimorphism("the abelianisation of the quotient is finite")
-    h = row_hnf(basis)
-    best = h[-1]  # most leading zeros; primitive since the kernel is saturated
-    if math.gcd(*best) not in (1,):
-        raise InternalCheckError("kernel HNF row is not primitive")
-    lead = next(x for x in best if x)
-    if lead < 0:
-        best = [-x for x in best]
-    return EpimorphismToZ(tuple(best))
+    else:
+        g = math.gcd(vec[-2], vec[-1])
+        sign = 1 if vec[-1] > 0 else -1
+        values[-2], values[-1] = abs(vec[-1]) // g, -sign * vec[-2] // g
+    if sum(x * v for x, v in zip(values, vec)) != 0 or math.gcd(*values) != 1:
+        raise InternalCheckError("epimorphism does not kill the relator "
+                                 "or is not surjective")
+    return EpimorphismToZ(tuple(values))
 
 
 # -- prefix sequences and the coprime-pair lemma -------------------------------

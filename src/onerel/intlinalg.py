@@ -98,23 +98,6 @@ def row_hnf_transform(mat):
     return h, u
 
 
-def row_hnf(mat):
-    """Canonical Hermite form with zero rows dropped (lattice normal form)."""
-    h, _ = row_hnf_transform(mat)
-    return [row for row in h if any(row)]
-
-
-def lattice_equal(a, b):
-    """Whether the rows of ``a`` and ``b`` span the same integer lattice."""
-    return row_hnf(a) == row_hnf(b)
-
-
-def kernel_basis(mat):
-    """Rows spanning the left kernel {x : x @ mat = 0}; saturated basis."""
-    h, u = row_hnf_transform(mat)
-    return [u[r] for r in range(len(h)) if not any(h[r])]
-
-
 def solve_left(mat, target):
     """Solve ``x @ mat == target`` over Z; None when no integer solution."""
     if not mat:
@@ -241,6 +224,18 @@ def rref(mat, field):
 
 def field_rank(mat, field):
     return len(rref(mat, field)[1])
+
+
+def spans_saturated(rows, rank, domain):
+    """Whether ``rows`` span the saturated lattice of rank ``rank`` they lie in.
+
+    Over a field the lattice is a subspace and this is a rank count.  Over Z
+    equal rank leaves ``lattice / span`` torsion, and saturation makes it the
+    torsion of ``Z^n / span``, so the Smith invariants must be ``rank`` ones.
+    """
+    if domain.is_field:
+        return field_rank(rows, domain) == rank
+    return snf_invariants(rows) == [1] * rank
 
 
 def nullspace(mat, field):

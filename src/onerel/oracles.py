@@ -137,15 +137,22 @@ def parse_permutation(text, degree=None):
     if not cycles or re.sub(r"\([^()]*\)|\s", "", text):
         raise InputError(f"cannot parse permutation {text!r}")
     parsed = []
-    maxpt = 0
+    seen = set()
     for cyc in cycles:
-        pts = [int(t) for t in re.split(r"[,\s]+", cyc.strip()) if t]
-        if any(p < 1 for p in pts):
-            raise InputError("permutation points are 1-based positive integers")
-        if len(set(pts)) != len(pts):
-            raise InputError(f"repeated point in cycle ({cyc})")
+        pts = []
+        for t in re.findall(r"[^,\s]+", cyc):
+            try:
+                pt = int(t)
+            except ValueError:
+                raise InputError(f"permutation point {t!r} is not an integer") from None
+            if pt < 1:
+                raise InputError("permutation points are 1-based positive integers")
+            if pt in seen:
+                raise InputError(f"point {pt} appears twice; cycles must be disjoint")
+            seen.add(pt)
+            pts.append(pt)
         parsed.append(pts)
-        maxpt = max(maxpt, max(pts, default=0))
+    maxpt = max(seen, default=0)
     n = degree if degree is not None else maxpt
     if maxpt > n:
         raise InputError(f"point {maxpt} exceeds degree {n}")

@@ -122,6 +122,44 @@ class TestDispatch:
             "schema": 1, "command": "complex",
             "error": "bad quotient chunk 'a (1 2)'"}
 
+    @pytest.mark.parametrize("perm, error", [
+        ("(1 x)", "permutation point 'x' is not an integer"),
+        ("(1 2)(2 3)", "point 2 appears twice; cycles must be disjoint"),
+    ])
+    def test_bad_permutation_is_a_json_refusal(self, tmp_path, capsys, perm, error):
+        inline = tmp_path / "trefoil.grp"
+        inline.write_text("gens: a, b\nrels: a^2*b^-3\n")
+        stanza = tmp_path / "stanza.grp"
+        stanza.write_text(f"gens: a, b\nrels: a^2*b^-3\nquotient: a -> {perm}, b -> ()\n")
+        for argv in (["--file", str(inline), "--quotient", f"a -> {perm}, b -> ()"],
+                     ["--file", str(stanza)]):
+            status = main(["complex"] + argv + ["--json"])
+            captured = capsys.readouterr()
+            assert status == 1
+            assert json.loads(captured.err)["error"] == error
+
+    @pytest.mark.parametrize("argv", [
+        ["jacobian", "--to-abelian", "a3,b=2"],
+        ["jacobian", "--to-abelian", "a=x"],
+        ["weinbaum", "--relator", "5"],
+        ["engulf", "--cyclic", "0", "--coeffs", "1,1"],
+        ["engulf", "--cyclic", "5", "--coeffs", "1,x"],
+        ["lift", "--h-edges", "e1", "--cycle", "e1"],
+        ["seqcheck", "--a", "2", "--b", "3", "--seq", "0,x"],
+    ])
+    def test_malformed_values_are_json_refusals(self, trefoil_file, theta_file,
+                                                capsys, argv):
+        if argv[0] in ("jacobian", "weinbaum"):
+            argv = argv + ["--file", trefoil_file]
+        if argv[0] == "lift":
+            argv = argv + ["--graph", theta_file]
+        status = main(argv + ["--json"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["command"] == argv[0] and report["error"]
+
     def test_domain_error_exit_one(self):
         status, report, text = dispatch(
             ["seqcheck", "--a", "2", "--b", "2", "--seq", "0,0,0"])

@@ -1,4 +1,9 @@
+from dataclasses import replace
+
 import pytest
+from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from onerel.covers import (FiniteQuotient, build_cover_complex,
                            generation_check, homology, weinbaum_scan)
@@ -9,7 +14,7 @@ from onerel.oracles import parse_permutation
 from onerel.presentations import Presentation, parse_presentation
 from onerel.words import free_reduce
 
-from conftest import random_raw_letters
+from conftest import random_raw_letters, random_reduced_word
 
 
 def twelve_cycle_quotient(presentation, a_power, b_power):
@@ -130,7 +135,6 @@ class TestHomology:
             d2 = [[c.d2[r][cols[j]] for j in range(len(cols))] for r in rows]
             d1 = [[c.d1[cols[i]][verts[v]] for v in range(len(verts))]
                   for i in range(len(cols))]
-            from dataclasses import replace
             shuffled = replace(c, d2=d2, d1=d1)
             h2 = homology(shuffled)
             assert (h2.h0_free_rank, h2.h0_torsion) == (h.h0_free_rank, h.h0_torsion)
@@ -169,6 +173,112 @@ class TestGenerationCheck:
         c = build_cover_complex(p, FiniteQuotient(p), QQ)
         assert generation_check(c, range(len(c.d2)))
         assert not generation_check(c, [])
+
+
+def sympy_rank(mat, p=None):
+    """Rank over Q, or over F_p when ``p`` is given."""
+    if not mat:
+        return 0
+    return DomainMatrix.from_list(mat, SYMPY_ZZ).convert_to(
+        SYMPY_QQ if p is None else GF(p)).rank()
+
+
+def sympy_factors(mat):
+    """Nonzero invariant factors of an integer matrix."""
+    if not mat:
+        return []
+    return [int(d) for d in invariant_factors(Matrix(mat), domain=SYMPY_ZZ) if d]
+
+
+def random_killed_cover(rng):
+    """Two generators on at most 4 points; relators u^k with k the order of u."""
+    degree = rng.randrange(2, 5)
+    images = {g: tuple(rng.sample(range(degree), degree)) for g in ("a", "b")}
+    free = FiniteQuotient(Presentation(["a", "b"], []), images)
+    ident = free.oracle.key(free.oracle.identity())
+    relators = []
+    for _ in range(rng.randrange(1, 3)):
+        u = random_reduced_word(rng, 2, rng.randrange(1, 5))
+        img, k = free.image(u), 1
+        while free.oracle.key(img) != ident:
+            img, k = free.oracle.multiply(img, free.image(u)), k + 1
+        relators.append(free_reduce(list(u.letters) * k))
+    p = Presentation(["a", "b"], relators)
+    return p, FiniteQuotient(p, images)
+
+
+# <a | a^6> at a 3-cycle has H1 = Z/2; the triangle presentations of S3, A4
+# and S4 at their faithful quotients give simply connected covers.
+FIXED_COVERS = [
+    "gens: a\nrels: a^6\nquotient: a -> (1 2 3)",
+    "gens: a, b\nrels: a*b*a^-1*b^-2\nquotient: a -> (1 2), b -> ()",
+    "gens: a, b\nrels: a*b*a^-1*b^-2\nquotient: a -> (1 2 3), b -> ()",
+    "gens: a, b\nrels: a^2 ; b^3 ; (a*b)^2\nquotient: a -> (1 2), b -> (1 2 3)",
+    "gens: a, b\nrels: a^2 ; b^3 ; (a*b)^3\nquotient: a -> (1 2)(3 4), b -> (2 3 4)",
+    "gens: a, b\nrels: a^2 ; b^3 ; (a*b)^4\nquotient: a -> (1 2), b -> (2 3 4)",
+]
+
+
+class TestAgainstSympy:
+    """Homology and generation checks against sympy ranks and Smith forms."""
+
+    def covers(self, rng):
+        for text in FIXED_COVERS:
+            p = parse_presentation(text)
+            yield build_cover_complex(p, FiniteQuotient(p))
+        for _ in range(20):
+            p, q = random_killed_cover(rng)
+            yield build_cover_complex(p, q)
+
+    def test_fixed_values(self):
+        p = parse_presentation(FIXED_COVERS[0])
+        h = homology(build_cover_complex(p, FiniteQuotient(p)))
+        assert (h.h1_free_rank, h.h1_torsion) == (0, [2])
+        for text in FIXED_COVERS[3:]:
+            p = parse_presentation(text)
+            h = homology(build_cover_complex(p, FiniteQuotient(p)))
+            assert (h.h1_free_rank, h.h1_torsion) == (0, [])
+
+    def test_homology_and_universal_coefficients(self, rng):
+        torsion_seen = 0
+        for c in self.covers(rng):
+            n_edges, n_vertices = len(c.d1), len(c.d1[0])
+            rank_d1 = sympy_rank(c.d1)
+            f1, f2 = sympy_factors(c.d1), sympy_factors(c.d2)
+            b1 = n_edges - rank_d1 - len(f2)
+            torsion = [d for d in f2 if d > 1]
+            torsion_seen += bool(torsion)
+            h = homology(c)
+            assert (h.h0_free_rank, h.h0_torsion) == (
+                n_vertices - rank_d1, [d for d in f1 if d > 1])
+            assert (h.h1_free_rank, h.h1_torsion) == (b1, torsion)
+            assert generation_check(c, range(len(c.d2))) == (b1 == 0 and not torsion)
+            assert homology(replace(c, domain=QQ)).h1_free_rank == b1
+            for p in (2, 3, 5):
+                hp = homology(replace(c, domain=PrimeFieldDomain(p)))
+                assert hp.h1_free_rank == b1 + sum(1 for d in torsion if d % p == 0)
+        assert torsion_seen >= 2
+
+    def test_generation_check_on_row_subsets(self, rng):
+        spanning_subsets = 0
+        fields = {None: QQ, 2: PrimeFieldDomain(2), 3: PrimeFieldDomain(3)}
+        for c in self.covers(rng):
+            cycle_rank = {p: len(c.d1) - sympy_rank(c.d1, p) for p in fields}
+            for trial in range(3):
+                k = rng.randrange(len(c.d2) + 1)
+                rows = sorted(rng.sample(range(len(c.d2)), k))
+                selected = [c.d2[r] for r in rows]
+                factors = sympy_factors(selected)
+                spans = (len(factors) == cycle_rank[None]
+                         and all(d == 1 for d in factors))
+                spanning_subsets += spans
+                assert generation_check(c, rows) == spans
+                if trial:
+                    continue  # field eliminations are slow; check one subset
+                for p, field in fields.items():
+                    spans_p = sympy_rank(selected, p) == cycle_rank[p]
+                    assert generation_check(replace(c, domain=field), rows) == spans_p
+        assert spanning_subsets >= 3
 
 
 class TestWeinbaumScan:

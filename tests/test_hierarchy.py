@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onerel.errors import InputError
 from onerel.hierarchy import (EpimorphismToZ, HNNStep, NoEpimorphism,
@@ -8,12 +10,19 @@ from onerel.hierarchy import (EpimorphismToZ, HNNStep, NoEpimorphism,
                               number_lemma_check, number_lemma_oracle,
                               prefix_sequence)
 from onerel.presentations import Presentation, parse_presentation
-from onerel.words import Word, cyclic_reduce, is_cyclic_conjugate
+from onerel.words import (Word, cyclic_reduce, exponent_vector, free_reduce,
+                          is_cyclic_conjugate)
 
 from conftest import random_cyclically_reduced_word
 
 BS12 = "gens: a, t\nrels: t*a*t^-1*a^-2"
 TREFOIL = "gens: a, b\nrels: a^2*b^-3"
+
+# A generator count and raw letters over that many generators.
+RAW_RELATORS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
+             max_size=14)))
 
 
 class TestEpimorphism:
@@ -46,6 +55,22 @@ class TestEpimorphism:
             assert math.gcd(*phi.values) == 1
             first = next(v for v in phi.values if v)
             assert first > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(RAW_RELATORS)
+    def test_kills_relator_on_last_two_generators(self, raw):
+        n, letters = raw
+        p = Presentation(["a", "b", "c", "d"][:n], [free_reduce(letters)])
+        vec = exponent_vector(p.relators[0], n)
+        try:
+            phi = find_epimorphism(p)
+        except NoEpimorphism:
+            assert n == 1 and vec[0] != 0
+            return
+        assert phi(p.relators[0]) == 0
+        assert math.gcd(*phi.values) == 1
+        assert not any(phi.values[:-2])
+        assert next(v for v in phi.values if v) > 0
 
 
 class TestPrefixSequence:

@@ -1,10 +1,9 @@
 import pytest
 
-from onerel.domains import QQ, PrimeFieldDomain
-from onerel.intlinalg import (field_rank, field_solve_left, kernel_basis,
-                              lattice_equal, mat_mul, nullspace,
-                              quotient_invariants, row_hnf, row_hnf_transform,
-                              snf_invariants, solve_left, transpose)
+from onerel.domains import QQ, ZZ, PrimeFieldDomain
+from onerel.intlinalg import (field_rank, field_solve_left, mat_mul, nullspace,
+                              quotient_invariants, row_hnf_transform,
+                              snf_invariants, solve_left, spans_saturated)
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -23,36 +22,32 @@ class TestHermite:
             assert snf_invariants(u) == [1] * len(u)
 
     def test_canonical_under_row_shuffle(self, rng):
+        def nonzero_rows(m):
+            return [row for row in row_hnf_transform(m)[0] if any(row)]
+
         for _ in range(40):
             m = random_matrix(rng, 4, 3)
             shuffled = m[:]
             rng.shuffle(shuffled)
-            assert row_hnf(m) == row_hnf(shuffled)
-
-    def test_lattice_equality_detects_difference(self):
-        assert lattice_equal([[2, 0], [0, 1]], [[0, 1], [2, 0]])
-        assert not lattice_equal([[2, 0]], [[1, 0]])
+            assert nonzero_rows(m) == nonzero_rows(shuffled)
 
 
-class TestKernel:
-    def test_kernel_annihilates(self, rng):
-        for _ in range(60):
-            m = random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 4))
-            for row in kernel_basis(m):
-                assert all(v == 0 for v in mat_mul([row], m)[0])
+class TestSaturation:
+    def test_index_two_sublattice_fails_over_z_only(self):
+        rows = [[2, 0], [0, 1]]
+        assert not spans_saturated(rows, 2, ZZ)
+        assert spans_saturated(rows, 2, QQ)
+        assert spans_saturated([[1, 1], [0, 1]], 2, ZZ)
 
-    def test_kernel_rank(self, rng):
-        for _ in range(30):
-            m = random_matrix(rng, 4, 2)
-            k = kernel_basis(m)
-            rank = len(row_hnf(m))
-            assert len(k) == 4 - rank
+    def test_rank_deficit_fails(self):
+        assert not spans_saturated([[1, 1], [2, 2]], 2, ZZ)
+        assert not spans_saturated([[1, 1], [2, 2]], 2, PrimeFieldDomain(3))
+        assert not spans_saturated([], 1, ZZ)
 
-    def test_saturation(self):
-        # kernel of [2; -1] as a column: x*2 + y*(-1)... left kernel of the
-        # 2x1 matrix [[2], [4]] is spanned by the primitive (2, -1)
-        k = kernel_basis([[2], [4]])
-        assert lattice_equal(k, [[2, -1]])
+    def test_zero_lattice_is_spanned_by_nothing(self):
+        assert spans_saturated([], 0, ZZ)
+        assert spans_saturated([[0, 0]], 0, ZZ)
+        assert spans_saturated([], 0, QQ)
 
 
 class TestSolve:
