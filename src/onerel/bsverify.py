@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, UnsupportedError
+
+# Largest n that ``qn_report`` accepts.  The exponent n((n+1)^n - 1) has about
+# n*log10(n+1) digits: 3,004 at n = 1000, where the check takes about half a
+# second, and past Python's 4,300-digit limit on int-to-text conversion from
+# about n = 1400.
+MAX_QN = 1000
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,8 @@ def qn_report(n: int) -> dict:
     """
     if n < 1:
         raise InputError("n must be a positive integer")
+    if n > MAX_QN:
+        raise UnsupportedError(f"n = {n} is above the supported maximum {MAX_QN}")
     exponent = n * ((n + 1) ** n - 1)
     verdict = verify_qn_identity(n)
     return {

@@ -104,7 +104,7 @@ def _cmd_complex(args):
         "group_order": q.order,
         "transitive": q.is_transitive,
         "shape": {"d2_rows": len(c.d2), "edges": len(c.d1), "vertices": len(c.d1[0]) if c.d1 else 0},
-        "composite_zero": c.composite_is_zero(),
+        "composite_zero": True,    # build_cover_complex verified it
         "homology": {
             "h0_free_rank": h.h0_free_rank, "h0_torsion": h.h0_torsion,
             "h1_free_rank": h.h1_free_rank, "h1_torsion": h.h1_torsion,
@@ -221,18 +221,26 @@ def _cmd_upcheck(args):
                     f"{report.distinct_factor_count} distinct factors)"
 
 
+def _required(value, message):
+    """``value`` of an optional flag, refused as an :class:`InputError` if omitted."""
+    if value is None:
+        raise InputError(message)
+    return value
+
+
 def _cmd_engulf(args):
     if args.cyclic is not None:
         oracle = ModOracle(args.cyclic)
         domain = parse_domain(args.field)
-        coeffs = [_integer(c, "coefficient") for c in args.coeffs.split(",")]
+        coeffs = [_integer(c, "coefficient")
+                  for c in _required(args.coeffs, "--cyclic needs --coeffs").split(",")]
         m = GroupRingElement(oracle, domain, list(enumerate(coeffs)))
     else:
-        pres = load_presentation(args.file)
+        pres = load_presentation(_required(args.file, "engulf needs --file or --cyclic"))
         q = _finite_quotient(pres, args)
         domain = parse_domain(args.field)
         terms = []
-        for chunk in args.terms.split(";"):
+        for chunk in _required(args.terms, "--file needs --terms").split(";"):
             if not chunk.strip():
                 continue
             word_text, _, coeff = chunk.rpartition(":")

@@ -3,8 +3,11 @@
 Pushing a presentation's derivative matrix through the regular representation
 of a finite quotient gives integer boundary matrices for the corresponding
 cover of the presentation complex.  Chains are row vectors acted on from the
-right, so the matrix composite ``D2 @ D1`` must vanish; homology and lattice
-generation questions are settled by ranks and Smith invariants.
+right, so the matrix composite ``D2 @ D1`` must vanish.  The 1-skeleton is the
+Cayley graph of the quotient, and a 1-cycle is fixed by its coefficients on
+the edges outside a spanning forest, so homology and lattice generation
+questions are settled in spanning-forest coordinates: ranks and Smith
+invariants of ``D2`` restricted to the non-forest edges.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from dataclasses import dataclass, field
 from .domains import Domain, ZZ
 from .errors import InputError
 from .foxcalc import QuotientMap, jacobian
+from .graphs import Graph
 from .intlinalg import (field_rank, is_zero_matrix, mat_mul, quotient_invariants,
-                        snf_invariants, spans_saturated)
+                        spans_saturated)
 # Unused here; the benchmark's tracer test patches ``covers.solve_left``.
 from .intlinalg import solve_left
 from .presentations import Presentation
@@ -65,6 +69,7 @@ class CoverComplex:
     domain: Domain
     d2: list                  # (|W|*|Q|) x (|S|*|Q|) integer matrix
     d1: list                  # (|S|*|Q|) x |Q| integer matrix
+    skeleton: Graph           # the 1-skeleton; its edges are the rows of d1
     row_labels: list = field(default_factory=list)   # (relator index, element)
     col_labels: list = field(default_factory=list)   # (generator name, element)
     vertex_labels: list = field(default_factory=list)
@@ -95,9 +100,11 @@ def build_cover_complex(p: Presentation, q: FiniteQuotient,
                         domain: Domain = ZZ) -> CoverComplex:
     """Boundary matrices of the cover of the presentation complex at ``q``.
 
-    Entries of the derivative matrix and of the fence column ``phi(s) - 1``
-    are replaced by their right-regular permutation-matrix images; the
-    composite is verified to vanish exactly.
+    Entries of the derivative matrix are replaced by their right-regular
+    permutation-matrix images.  The edge ``(s, g)`` runs from vertex ``g`` to
+    vertex ``g * phi(s)``, and ``d1`` is the incidence matrix of that Cayley
+    graph (a loop gives a zero row); the composite is verified to vanish
+    exactly.
     """
     jac = jacobian(p, q.map, ZZ)
     elements = q.elements
@@ -113,19 +120,22 @@ def build_cover_complex(p: Presentation, q: FiniteQuotient,
             d2.append([blocks[j][p_idx][c] for j in range(jac.ncols) for c in range(n)])
             row_labels.append((i, oracle.render(elements[p_idx])))
 
-    d1 = []
+    index = {oracle.key(g): i for i, g in enumerate(elements)}
+    edges = []
     col_labels = []
-    from .groupring import GroupRingElement
-    one = GroupRingElement.one(oracle, ZZ)
     for s in range(p.rank):
-        fence = GroupRingElement.of(oracle, ZZ, q.image(Word([(s, 1)]))) - one
-        blk = block(fence)
-        for p_idx in range(n):
-            d1.append(list(blk[p_idx]))
-            col_labels.append((p.names[s], oracle.render(elements[p_idx])))
+        image = q.image(Word([(s, 1)]))
+        for p_idx, g in enumerate(elements):
+            edges.append((p_idx, index[oracle.key(oracle.multiply(g, image))]))
+            col_labels.append((p.names[s], oracle.render(g)))
+    skeleton = Graph(range(n), edges)
+    d1 = [[0] * n for _ in edges]
+    for e, row in enumerate(d1):
+        for v, coeff in skeleton.boundary({e: 1}).items():
+            row[v] = coeff
 
     complex_ = CoverComplex(
-        presentation=p, quotient=q, domain=domain, d2=d2, d1=d1,
+        presentation=p, quotient=q, domain=domain, d2=d2, d1=d1, skeleton=skeleton,
         row_labels=row_labels, col_labels=col_labels,
         vertex_labels=[oracle.render(g) for g in elements])
     if not complex_.composite_is_zero():
@@ -155,9 +165,18 @@ class HomologyReport:
                 f"H1 = {self.h_summary(self.h1_free_rank, self.h1_torsion)}")
 
 
-def _rank(mat, domain):
-    """Rank over a field, or over Z the number of Smith invariants."""
-    return field_rank(mat, domain) if domain.is_field else len(snf_invariants(mat))
+def _cycle_coordinates(c: CoverComplex):
+    """Rows of ``d2`` on the non-forest edges of the 1-skeleton, and the forest size.
+
+    Restriction to the non-forest edges maps the cycle lattice ``ker d1``
+    isomorphically onto their coordinate lattice: the fundamental cycles are
+    a basis, each 1 on its own such edge and 0 on the others, and a cycle
+    vanishing there lies on a forest, so it is 0.  Every row of ``d2`` is a
+    cycle because ``d2 @ d1`` was verified to vanish.
+    """
+    forest, _ = c.skeleton.spanning_forest()
+    cols = [e for e in range(len(c.d1)) if e not in forest]
+    return [[row[e] for e in cols] for row in c.d2], len(forest)
 
 
 def homology(c: CoverComplex) -> HomologyReport:
@@ -166,42 +185,38 @@ def homology(c: CoverComplex) -> HomologyReport:
     This is the cellular homology of the finite cover at ``c.quotient``, not a
     test of exactness of the relation-module resolution over the full group
     ring: ``<a, b | a*b^-1>`` has H1 = Z here at every finite quotient, while
-    its resolution over Z[Z] is exact.  Over Z this is Smith-form exact; over
-    a field the torsion lists are empty and the free ranks are dimensions.
+    its resolution over Z[Z] is exact.  It is computed in spanning-forest
+    coordinates: H0 is free on the components of the 1-skeleton, and H1 is
+    the coordinate lattice of the non-forest edges modulo the restricted rows
+    of ``d2``.  Over Z this is Smith-form exact; over a field the torsion
+    lists are empty and the free ranks are dimensions.
     """
-    domain = c.domain
-    n_vertices = len(c.d1[0]) if c.d1 else 0
-    if domain.is_field:
-        rank_d1 = _rank(c.d1, domain)
-        rank_d2 = _rank(c.d2, domain)
-        dim_ker = len(c.d1) - rank_d1
-        return HomologyReport(domain=domain,
-                              h0_free_rank=n_vertices - rank_d1, h0_torsion=[],
-                              h1_free_rank=dim_ker - rank_d2, h1_torsion=[])
-
-    h0_free, h0_torsion = quotient_invariants(n_vertices, c.d1)
-    # d2 @ d1 == 0 was verified and Z^E / ker d1 is im d1, which is free of
-    # rank V - h0_free, so Z^E / im d2 is H1 + Z^(rank d1).
-    rank_d1 = n_vertices - h0_free
-    h1_free, h1_torsion = quotient_invariants(len(c.d1) - rank_d1, c.d2)
-    return HomologyReport(domain=domain, h0_free_rank=h0_free, h0_torsion=h0_torsion,
-                          h1_free_rank=h1_free, h1_torsion=h1_torsion)
+    coords, forest_size = _cycle_coordinates(c)
+    n_cycles = len(c.d1) - forest_size
+    if c.domain.is_field:
+        h1_free, h1_torsion = n_cycles - field_rank(coords, c.domain), []
+    else:
+        h1_free, h1_torsion = quotient_invariants(n_cycles, coords)
+    return HomologyReport(domain=c.domain,
+                          h0_free_rank=len(c.skeleton.vertices) - forest_size,
+                          h0_torsion=[], h1_free_rank=h1_free, h1_torsion=h1_torsion)
 
 
 def generation_check(c: CoverComplex, rows) -> bool:
     """Whether the selected relator-orbit rows span the 1-cycle lattice.
 
-    The rows lie in ``ker d1`` because ``d2 @ d1`` vanishes, and ``ker d1``
-    is saturated of rank ``E - rank d1`` because ``Z^E / ker d1`` embeds in
-    ``Z^V``; over Z the rows span it when their Smith invariants are that
-    many ones, over a field when they have that rank.
+    In spanning-forest coordinates the cycle lattice is the whole coordinate
+    lattice of the non-forest edges, so the rows span it when, restricted to
+    those edges, they have that many Smith invariants, all ones, over Z, or
+    that rank over a field.
     """
     rows = sorted(set(int(r) for r in rows))
     for r in rows:
         if not 0 <= r < len(c.d2):
             raise InputError(f"row index {r} out of range")
-    selected = [c.d2[r] for r in rows]
-    return spans_saturated(selected, len(c.d1) - _rank(c.d1, c.domain), c.domain)
+    coords, forest_size = _cycle_coordinates(c)
+    return spans_saturated([coords[r] for r in rows], len(c.d1) - forest_size,
+                           c.domain)
 
 
 @dataclass

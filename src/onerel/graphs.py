@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .domains import ZZ
 from .errors import InputError
-from .intlinalg import field_solve_left, solve_left, spans_saturated
+from .intlinalg import spans_saturated
 
 
 class Graph:
@@ -196,8 +196,8 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
 
     ``h_edges`` may be labels or indices; ``r`` maps edges to coefficients.
     Checks the hypothesis that the full cycle space equals the span of ``r``
-    plus the cycles supported off ``h_edges``; failures return
-    :class:`NotApplicable` naming the violated condition.
+    plus the cycles supported off ``h_edges``, in spanning-forest coordinates;
+    failures return :class:`NotApplicable` naming the violated condition.
     """
     h = {graph.label_index[e] if isinstance(e, str) else int(e) for e in h_edges}
     if not h.issubset(range(graph.n_edges())):
@@ -213,16 +213,18 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
         return NotApplicable("the cycle has no support on the designated edges")
 
     n = graph.n_edges()
-    full = cycle_space(graph, domain)
-    off = cycle_space(_subgraph_without(graph, h), domain)
-    off_basis = [_relabel_chain(chain, graph, _subgraph_without(graph, h))
-                 for chain in off.basis]
-
+    kept = [e for e in range(n) if e not in h]      # edge indices of graph - H
+    off = cycle_space(Graph(graph.vertices, [graph.edges[e] for e in kept]), domain)
+    off_basis = [{kept[e]: c for e, c in chain.items()} for chain in off.basis]
+    # each off-H fundamental cycle is 1 on its own edge, 0 on the others
+    own_edges = [kept[walk[0][0]] for walk in off.basis_walks]
     k_rows = [_chain_vector(c, n, domain) for c in off_basis]
-    r_vec = _chain_vector(r, n, domain)
 
-    # r and the off-H cycles lie in the cycle space, a kernel and so saturated
-    if not spans_saturated(k_rows + [r_vec], full.rank(), domain):
+    # spanning-forest coordinates: a cycle is fixed by its non-forest entries
+    tree, _ = graph.spanning_forest()
+    cols = [e for e in range(n) if e not in tree]
+    coords = [[chain.get(e, domain.zero) for e in cols] for chain in off_basis + [r]]
+    if not spans_saturated(coords, len(cols), domain):
         return NotApplicable(
             "the cycle space is not spanned by the cycle plus off-H cycles")
 
@@ -246,7 +248,6 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     if not gamma_edges.intersection(h):
         return NotApplicable("pruned support subgraph misses the designated edges")
 
-    gamma_vertices = sorted({v for e in gamma_edges for v in graph.edges[e][:2]})
     # forest of gamma minus H, extended across its components by H edges
     forest0, _ = graph.spanning_forest(edge_subset=gamma_edges - h)
     forest, parent = _extend_forest(graph, gamma_edges, forest0, h)
@@ -286,14 +287,9 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
         if any(j in h for j in residual):
             last_reason = "residual still meets the designated edges"
             continue
-        res_vec = _chain_vector(residual, n, domain)
-        if domain.is_field:
-            coeffs = field_solve_left(k_rows, res_vec, domain)
-        else:
-            coeffs = solve_left(k_rows, res_vec)
-        if coeffs is None:
-            last_reason = "residual is not a combination of off-H cycles"
-            continue
+        # the residual is a cycle off H, so its off-H coordinates are its
+        # entries on the off-H basis' own edges
+        coeffs = [residual.get(e, domain.zero) for e in own_edges]
         lift = CycleLift(cycle_walk=walk, cycle_chain=chain, unit=unit,
                          k_coefficients=coeffs, k_basis=off_basis)
         _verify_lift(graph, h, r, lift, k_rows, domain)
@@ -329,19 +325,6 @@ def _verify_lift(graph, h, r, lift, k_rows, domain):
     target = _chain_vector(r, n, domain)
     if recon != target:
         raise InputError("lift verification failed: certificate does not recombine")
-
-
-def _subgraph_without(graph, h):
-    keep = [graph.edges[i] for i in range(graph.n_edges()) if i not in h]
-    return Graph(graph.vertices, keep)
-
-
-def _relabel_chain(chain, full_graph, sub_graph):
-    out = {}
-    for e, c in chain.items():
-        label = sub_graph.edges[e][2]
-        out[full_graph.label_index[label]] = c
-    return out
 
 
 def _extend_forest(graph, gamma_edges, forest0, h):

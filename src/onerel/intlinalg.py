@@ -252,21 +252,3 @@ def nullspace(mat, field):
             vec[pc] = field.neg(red[r][fc])
         basis.append(vec)
     return basis
-
-
-def field_solve_left(mat, target, field):
-    """Solve ``x @ mat == target`` over a field; None when inconsistent."""
-    if not mat:
-        return None if any(not field.is_zero(field.coerce(t)) for t in target) else []
-    aug = transpose(mat)
-    tgt = [field.coerce(t) for t in target]
-    for i, row in enumerate(aug):
-        row.append(tgt[i])
-    red, pivots = rref(aug, field)
-    n = len(mat)
-    if n in pivots:
-        return None
-    x = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return x

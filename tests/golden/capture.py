@@ -27,6 +27,7 @@ TORUS = "samples/torus.grp"
 BS12 = "samples/bs12.grp"
 CYCLIC6 = "samples/cyclic6.grp"
 THETA = "samples/theta.graph"
+MULTI = f"{INPUTS}/multi.graph"
 
 # trefoil quotients <a, b | a^2*b^-3> by group order
 LADDER = {
@@ -90,6 +91,9 @@ def _cases():
                        ("cyclic6", CYCLIC6)):
         out += _both(f"complex_{name}", ["complex", "--file", path])
     out += _both("complex_cyclic6_f3", ["complex", "--file", CYCLIC6, "--ring", "3"])
+    out += _both("complex_cyclic6_q", ["complex", "--file", CYCLIC6, "--ring", "Q"])
+    out += _both("complex_cyclic6_torsion",
+                 ["complex", "--file", f"{INPUTS}/cyclic6_torsion.grp"])
     for order, images in LADDER.items():
         for ring, tag in (("Z", "z"), ("2", "f2")):
             out += _both(f"complex_trefoil_{order}_{tag}",
@@ -145,6 +149,13 @@ def _cases():
                                 "--cycle", "e1:1,e2:-1"])
     out += _both("lift_theta_q", ["lift", "--graph", THETA, "--h-edges", "e1,e2",
                                   "--cycle", "e1:2,e3:-2", "--ring", "Q"])
+    for ring, tag in (("Z", ""), ("Q", "_q"), ("5", "_f5")):
+        out += _both(f"lift_multi{tag}",
+                     ["lift", "--graph", MULTI, "--h-edges", "e1",
+                      "--cycle", "e1:1,e2:1,e3:-2,e4:3", "--ring", ring])
+    out += _both("lift_multi_not_spanned",
+                 ["lift", "--graph", MULTI, "--h-edges", "e1,e4",
+                  "--cycle", "e1:1,e2:-1,e4:2"])
     out += _both("lift_not_cycle", ["lift", "--graph", THETA, "--h-edges", "e1",
                                      "--cycle", "e1:1"])
 

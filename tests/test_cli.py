@@ -160,6 +160,33 @@ class TestDispatch:
         report = json.loads(captured.err)
         assert report["command"] == argv[0] and report["error"]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["engulf", "--cyclic", "5"], "--coeffs"),
+        (["engulf", "--file", "TREFOIL"], "--terms"),
+        (["engulf"], "--file"),
+    ])
+    def test_engulf_missing_flag_is_a_json_refusal(self, trefoil_file, capsys,
+                                                   argv, flag):
+        argv = [trefoil_file if a == "TREFOIL" else a for a in argv]
+        status = main(argv + ["--json"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["command"] == "engulf" and flag in report["error"]
+
+    @pytest.mark.parametrize("n", [1001, 1500, 100000000])
+    def test_verify_example_above_cap_is_refused(self, n):
+        status, report, text = dispatch(["verify-example", "--n", str(n)])
+        assert status == 1
+        assert report["error"] == f"n = {n} is above the supported maximum 1000"
+
+    def test_verify_example_at_cap(self):
+        status, report, _ = dispatch(["verify-example", "--n", "1000"])
+        assert status == 0
+        assert report["results"]["verdict"] is True
+        assert len(str(report["results"]["exponent"])) == 3004
+
     def test_domain_error_exit_one(self):
         status, report, text = dispatch(
             ["seqcheck", "--a", "2", "--b", "2", "--seq", "0,0,0"])

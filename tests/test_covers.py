@@ -5,14 +5,16 @@ from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
-from onerel.covers import (FiniteQuotient, build_cover_complex,
+from onerel.covers import (FiniteQuotient, _regular_blocks, build_cover_complex,
                            generation_check, homology, weinbaum_scan)
-from onerel.domains import QQ, PrimeFieldDomain
+from onerel.domains import QQ, ZZ, PrimeFieldDomain
 from onerel.errors import InputError
+from onerel.graphs import Graph
+from onerel.groupring import GroupRingElement
 from onerel.intlinalg import mat_mul, is_zero_matrix
 from onerel.oracles import parse_permutation
 from onerel.presentations import Presentation, parse_presentation
-from onerel.words import free_reduce
+from onerel.words import Word, free_reduce
 
 from conftest import random_raw_letters, random_reduced_word
 
@@ -135,7 +137,13 @@ class TestHomology:
             d2 = [[c.d2[r][cols[j]] for j in range(len(cols))] for r in rows]
             d1 = [[c.d1[cols[i]][verts[v]] for v in range(len(verts))]
                   for i in range(len(cols))]
-            shuffled = replace(c, d2=d2, d1=d1)
+            # the skeleton is relabelled with the same permutations
+            new_vertex = {v: i for i, v in enumerate(verts)}
+            skeleton = Graph(range(len(verts)),
+                             [(new_vertex[c.skeleton.edges[e][0]],
+                               new_vertex[c.skeleton.edges[e][1]]) for e in cols])
+            assert d1 == incidence_rows(skeleton)
+            shuffled = replace(c, d2=d2, d1=d1, skeleton=skeleton)
             h2 = homology(shuffled)
             assert (h2.h0_free_rank, h2.h0_torsion) == (h.h0_free_rank, h.h0_torsion)
             assert (h2.h1_free_rank, h2.h1_torsion) == (h.h1_free_rank, h.h1_torsion)
@@ -219,16 +227,46 @@ FIXED_COVERS = [
 ]
 
 
+def fixed_and_random_covers(rng):
+    for text in FIXED_COVERS:
+        p = parse_presentation(text)
+        yield build_cover_complex(p, FiniteQuotient(p))
+    for _ in range(20):
+        p, q = random_killed_cover(rng)
+        yield build_cover_complex(p, q)
+
+
+def incidence_rows(graph):
+    """Edge rows of the incidence matrix: +1 at the head, -1 at the tail."""
+    rows = []
+    for tail, head, _ in graph.edges:
+        row = [0] * len(graph.vertices)
+        row[head] += 1
+        row[tail] -= 1
+        rows.append(row)
+    return rows
+
+
+class TestSkeleton:
+    def test_d1_is_the_regular_image_of_the_fence(self, rng):
+        """d1 against the right-regular image of phi(s) - 1, built from blocks."""
+        loops = 0
+        for c in fixed_and_random_covers(rng):
+            q = c.quotient
+            block = _regular_blocks(q.elements, q.oracle)
+            one = GroupRingElement.one(q.oracle, ZZ)
+            expected = []
+            for s in range(c.presentation.rank):
+                image = q.image(Word([(s, 1)]))
+                expected += block(GroupRingElement.of(q.oracle, ZZ, image) - one)
+            assert c.d1 == expected
+            assert c.d1 == incidence_rows(c.skeleton)
+            loops += sum(1 for tail, head, _ in c.skeleton.edges if tail == head)
+        assert loops > 0
+
+
 class TestAgainstSympy:
     """Homology and generation checks against sympy ranks and Smith forms."""
-
-    def covers(self, rng):
-        for text in FIXED_COVERS:
-            p = parse_presentation(text)
-            yield build_cover_complex(p, FiniteQuotient(p))
-        for _ in range(20):
-            p, q = random_killed_cover(rng)
-            yield build_cover_complex(p, q)
 
     def test_fixed_values(self):
         p = parse_presentation(FIXED_COVERS[0])
@@ -241,7 +279,7 @@ class TestAgainstSympy:
 
     def test_homology_and_universal_coefficients(self, rng):
         torsion_seen = 0
-        for c in self.covers(rng):
+        for c in fixed_and_random_covers(rng):
             n_edges, n_vertices = len(c.d1), len(c.d1[0])
             rank_d1 = sympy_rank(c.d1)
             f1, f2 = sympy_factors(c.d1), sympy_factors(c.d2)
@@ -262,7 +300,7 @@ class TestAgainstSympy:
     def test_generation_check_on_row_subsets(self, rng):
         spanning_subsets = 0
         fields = {None: QQ, 2: PrimeFieldDomain(2), 3: PrimeFieldDomain(3)}
-        for c in self.covers(rng):
+        for c in fixed_and_random_covers(rng):
             cycle_rank = {p: len(c.d1) - sympy_rank(c.d1, p) for p in fields}
             for trial in range(3):
                 k = rng.randrange(len(c.d2) + 1)

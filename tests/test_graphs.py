@@ -1,6 +1,11 @@
-import pytest
+from fractions import Fraction
 
-from onerel.domains import QQ, PrimeFieldDomain
+import pytest
+from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
+
+from onerel.domains import QQ, ZZ, PrimeFieldDomain
 from onerel.graphs import (CycleLift, Graph, NotApplicable, cycle_space,
                            lift_cycle)
 
@@ -168,3 +173,71 @@ class TestLiftCycle:
             assert result.verified
             successes += 1
         assert successes == 200
+
+
+def random_multigraph(rng):
+    """Up to 5 vertices and 9 edges: loops, parallel edges, several components."""
+    vertices = [f"v{i}" for i in range(rng.randrange(1, 6))]
+    return Graph(vertices, [(rng.choice(vertices), rng.choice(vertices))
+                            for _ in range(rng.randrange(1, 10))])
+
+
+NOT_SPANNED = "the cycle space is not spanned by the cycle plus off-H cycles"
+
+
+class TestLiftAgainstSympy:
+    """The spanning verdict of ``lift_cycle`` against sympy, lifts recombined."""
+
+    @pytest.mark.parametrize("domain, p", [(ZZ, None), (QQ, None),
+                                           (PrimeFieldDomain(5), 5)],
+                             ids=["Z", "Q", "F5"])
+    def test_spanning_verdict_and_recombination(self, rng, domain, p):
+        verdicts = {True: 0, False: 0}
+        lifts = 0
+        for _ in range(400):
+            g = random_multigraph(rng)
+            n = g.n_edges()
+            full = cycle_space(g)
+            if not full.rank():
+                continue
+            r = {}
+            for chain in full.basis:
+                coeff = rng.randrange(-2, 3)
+                for e, c in chain.items():
+                    r[e] = r.get(e, 0) + coeff * c
+            h = set(rng.sample(range(n), rng.randrange(1, min(n, 2) + 1)))
+            r = {e: c for e, c in r.items() if domain.coerce(c) != domain.zero}
+            if not h.intersection(r):
+                continue
+            kept = [e for e in range(n) if e not in h]
+            off = cycle_space(Graph(g.vertices, [g.edges[e] for e in kept]))
+            rows = [[0] * n for _ in off.basis] + [[r.get(e, 0) for e in range(n)]]
+            for row, chain in zip(rows, off.basis):
+                for e, c in chain.items():
+                    row[kept[e]] = c
+            beta = full.rank()  # E - V + components
+            matrix = Matrix(rows)
+            if domain == ZZ:
+                factors = [d for d in invariant_factors(matrix, domain=SYMPY_ZZ) if d]
+                spans = factors == [1] * beta
+            else:
+                field = SYMPY_QQ if p is None else GF(p)
+                spans = DomainMatrix.from_Matrix(matrix).convert_to(field).rank() == beta
+            result = lift_cycle(g, sorted(h), r, domain)
+            not_spanned = isinstance(result, NotApplicable) and result.reason == NOT_SPANNED
+            assert not_spanned == (not spans)
+            verdicts[spans] += 1
+            if isinstance(result, CycleLift):
+                lifts += 1
+                total = {}
+                for coeff, chain in zip(result.k_coefficients, result.k_basis):
+                    assert not h.intersection(chain)
+                    for e, c in chain.items():
+                        total[e] = total.get(e, 0) + Fraction(coeff) * c
+                for e, c in result.cycle_chain.items():
+                    total[e] = total.get(e, 0) + Fraction(result.unit) * c
+                reduce = (lambda x: x) if p is None else (lambda x: x % p)
+                assert ({e: reduce(c) for e, c in total.items() if reduce(c)}
+                        == {e: reduce(Fraction(c)) for e, c in r.items() if reduce(c)})
+        assert verdicts[True] >= 50 and verdicts[False] >= 50 and lifts >= 50, \
+            (verdicts, lifts)

@@ -1,9 +1,12 @@
 import pytest
+from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
-from onerel.intlinalg import (field_rank, field_solve_left, mat_mul, nullspace,
-                              quotient_invariants, row_hnf_transform,
-                              snf_invariants, solve_left, spans_saturated)
+from onerel.intlinalg import (field_rank, mat_mul, nullspace, quotient_invariants,
+                              row_hnf_transform, snf_invariants, solve_left,
+                              spans_saturated)
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -106,13 +109,41 @@ class TestFieldOps:
             m = random_matrix(rng, 4, 3)
             assert field_rank(m, QQ) + len(nullspace(m, QQ)) == 4
 
-    def test_field_solve(self, rng):
-        field = QQ
-        for _ in range(40):
-            m = random_matrix(rng, 3, 3)
-            x = [field.coerce(rng.randrange(-3, 4)) for _ in range(3)]
-            target = [sum(x[i] * m[i][j] for i in range(3)) for j in range(3)]
-            sol = field_solve_left(m, target, field)
-            assert sol is not None
-            got = [sum(sol[i] * m[i][j] for i in range(3)) for j in range(3)]
-            assert [field.coerce(g) for g in got] == [field.coerce(t) for t in target]
+
+def random_shapes(rng):
+    """Every shape up to 3 x 3, empty ones included, then random matrices with
+    torsion (some rows scaled) and zero rows inserted; yields (matrix, cols)."""
+    for rows in range(4):
+        for cols in range(4):
+            yield random_matrix(rng, rows, cols), cols
+    for _ in range(150):
+        cols = rng.randrange(1, 6)
+        m = random_matrix(rng, rng.randrange(1, 6), cols)
+        scale = rng.choice((2, 3, 4, 6))
+        m = [[scale * x for x in row] if rng.random() < 0.5 else row for row in m]
+        for _ in range(rng.randrange(3)):
+            m.insert(rng.randrange(len(m) + 1), [0] * cols)
+        yield m, cols
+
+
+def sympy_matrix(m, cols):
+    return Matrix(len(m), cols, [x for row in m for x in row])
+
+
+class TestAgainstSympy:
+    def test_smith_invariants(self, rng):
+        torsion = 0
+        for m, cols in random_shapes(rng):
+            expected = [int(d) for d in
+                        invariant_factors(sympy_matrix(m, cols), domain=SYMPY_ZZ) if d]
+            assert snf_invariants(m) == expected, m
+            torsion += any(d > 1 for d in expected)
+        assert torsion >= 50
+
+    @pytest.mark.parametrize("p", [None, 2, 5], ids=["Q", "F2", "F5"])
+    def test_field_rank(self, rng, p):
+        field, sympy_field = (QQ, SYMPY_QQ) if p is None else (PrimeFieldDomain(p), GF(p))
+        for m, cols in random_shapes(rng):
+            expected = DomainMatrix.from_Matrix(sympy_matrix(m, cols)).convert_to(
+                sympy_field).rank()
+            assert field_rank(m, field) == expected, m
