@@ -86,6 +86,14 @@ def _cases():
                   "--certify", "finiteSearch"])
     out += _both("trapezoid_row_fixed",
                  ["trapezoid", "--file", TORUS, "--row-fixed"])
+    z3 = ["trapezoid", "--file", f"{INPUTS}/z3.grp", "--abelianize"]
+    out += _both("trapezoid_z3_impossible", z3)
+    out += _both("trapezoid_z3_row_fixed_impossible", z3 + ["--row-fixed"])
+    out += _both("trapezoid_z3_over_cap", z3 + ["--cap", "2"])
+    swap = ["trapezoid", "--file", f"{INPUTS}/rowfixed.grp",
+            "--quotient", "a -> (1 2), b -> ()"]
+    out += _both("trapezoid_row_swap", swap)
+    out += _both("trapezoid_row_swap_row_fixed_impossible", swap + ["--row-fixed"])
 
     for name, path in (("trefoil", TREFOIL), ("torus", TORUS), ("bs12", BS12),
                        ("cyclic6", CYCLIC6)):
