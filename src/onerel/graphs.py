@@ -191,6 +191,15 @@ def _walk_is_embedded(graph, walk):
     return len(visited) == len(set(visited))
 
 
+def _edge_index(graph, e):
+    """The index of an edge given by its label or its index."""
+    if not isinstance(e, str):
+        return int(e)
+    if e not in graph.label_index:
+        raise InputError(f"unknown edge label {e!r}")
+    return graph.label_index[e]
+
+
 def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     """Split a cycle as unit * (embedded cycle through H) + (cycles off H).
 
@@ -199,10 +208,10 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     plus the cycles supported off ``h_edges``, in spanning-forest coordinates;
     failures return :class:`NotApplicable` naming the violated condition.
     """
-    h = {graph.label_index[e] if isinstance(e, str) else int(e) for e in h_edges}
+    h = {_edge_index(graph, e) for e in h_edges}
     if not h.issubset(range(graph.n_edges())):
         raise InputError("designated edges outside the graph")
-    r = {graph.label_index[e] if isinstance(e, str) else int(e): domain.coerce(c)
+    r = {_edge_index(graph, e): domain.coerce(c)
          for e, c in (r.items() if isinstance(r, dict) else r)}
     r = {e: c for e, c in r.items() if not domain.is_zero(c)}
     if not r:

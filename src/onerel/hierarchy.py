@@ -85,9 +85,6 @@ class PrefixSequence:
     def span(self) -> int:
         return self.high - self.low
 
-    def pair_count(self) -> int:
-        return (len(self.values) - 1) // 2
-
 
 def prefix_sequence(w: Word, phi: EpimorphismToZ, partition) -> PrefixSequence:
     """Level sequence of the syllable prefixes of a two-factor word.

@@ -2,8 +2,15 @@
 
 A matrix is in staircase (lower trapezoidal) position when, under the chosen
 row and column orders, the last nonzero column index of each row strictly
-increases down the rows.  Shape search works purely on the zero/nonzero
+increases down the rows.  Shape decisions work purely on the zero/nonzero
 pattern; entry values only matter when certifying the diagonal.
+
+Existence is decided by peeling (Hellerman and Rarick's preassigned pivot
+procedure): a column that meets at most one remaining row can be placed
+last, and placing it finishes that row.  When peeling clears every row, the
+lexicographically least column order is built left to right with peeling as
+the feasibility test.  When it sticks, the rows left block every column
+order, and that row set is re-verified and returned as the proof.
 
 All indices in certificates are 0-based.
 """
@@ -38,8 +45,8 @@ class TrapezoidViolation:
 @dataclass(frozen=True)
 class ImpossibleProof:
     mode: str
-    explored: int
-    reason: str = "exhausted all admissible column orders"
+    rows: tuple  # sorted original indices of a row set blocking every column order
+    reason: str
 
 
 def _validate_perm(perm, size, what):
@@ -78,89 +85,109 @@ def _pattern_masks(pattern):
     return [sum(1 << j for j, v in enumerate(row) if v) for row in pattern]
 
 
-def _search(masks, ncols, row_fixed):
-    """Lexicographically least column order making the pattern a staircase.
+def _last_meets(masks, rows, col, row_fixed):
+    """The rows of sorted ``rows`` that ``col`` meets, if it can be placed last.
 
-    Columns are placed left to right; placing a column "finishes" the rows
-    whose support it completes.  A placement finishing two rows at once is
-    invalid (their last-nonzero columns would coincide), and in row-fixed
-    mode rows must finish in their given order.  Dead placed-sets are
-    memoised, which keeps the search exact well past the size cap.
+    Placed after every other column, ``col`` finishes each row it meets, so
+    it can be placed last when it meets at most one row; in row-fixed mode
+    that row must also be the highest-indexed one.  Returns None otherwise.
     """
-    nrows = len(masks)
-    full = (1 << ncols) - 1
-    dead = set()
-    explored = 0
-
-    def finished(placed):
-        return [r for r in range(nrows) if masks[r] & ~placed == 0]
-
-    def extend(placed, order, done_count):
-        nonlocal explored
-        if placed == full:
-            return order if done_count == nrows else None
-        if placed in dead:
-            return None
-        explored += 1
-        before = finished(placed)
-        for col in range(ncols):
-            bit = 1 << col
-            if placed & bit:
-                continue
-            new_placed = placed | bit
-            newly = [r for r in finished(new_placed) if r not in before]
-            if len(newly) > 1:
-                continue
-            if row_fixed and newly and newly[0] != done_count:
-                continue
-            result = extend(new_placed, order + [col], done_count + len(newly))
-            if result is not None:
-                return result
-        dead.add(placed)
+    meets = [r for r in rows if masks[r] >> col & 1]
+    if len(meets) > 1 or (row_fixed and meets and meets[0] != rows[-1]):
         return None
+    return meets
 
-    return extend(0, [], 0), explored
+
+def _peel(masks, rows, cols, row_fixed):
+    """The rows left when no column of ``cols`` can be placed last.
+
+    Moving a column that can be placed last to the end of any staircase
+    order changes no other row's last position, so peeling it and the row
+    it finishes keeps the answer.  Eligibility only grows as rows and
+    columns leave, so the rows left do not depend on the peeling order; they
+    are empty exactly when the pattern has a staircase.
+    """
+    rows, cols = sorted(rows), list(cols)
+    while True:
+        for col in cols:
+            meets = _last_meets(masks, rows, col, row_fixed)
+            if meets is not None:
+                break
+        else:
+            return rows
+        cols.remove(col)
+        rows = [r for r in rows if r not in meets]
+
+
+def _blocks(masks, rows, ncols, row_fixed):
+    """Whether nonempty ``rows`` admit no column order, checked in O(mn).
+
+    In any order, the last column meeting ``rows`` finishes every row of
+    them it meets.  So no order works when each column meeting them meets
+    at least two, or in row-fixed mode one that is not the highest-indexed.
+    """
+    return bool(rows) and not any(_last_meets(masks, rows, col, row_fixed)
+                                  for col in range(ncols))
+
+
+def _least_order(masks, ncols, row_fixed):
+    """The least column order, and the rows in the order they finish.
+
+    Columns go left to right.  Each step takes the least column that
+    finishes at most one open row (in row-fixed mode, the next row) and
+    leaves rows and columns that still peel to nothing; the pattern must
+    have a staircase.
+    """
+    rows, cols, placed = list(range(len(masks))), list(range(ncols)), 0
+    order, finished = [], []
+    for _ in range(ncols):
+        for col in cols:
+            done = [r for r in rows if masks[r] & ~(placed | 1 << col) == 0]
+            rest = [r for r in rows if r not in done]
+            if (len(done) < 2 and not (row_fixed and done and done[0] != rows[0])
+                    and not _peel(masks, rest, (c for c in cols if c != col), row_fixed)):
+                break
+        else:
+            raise AssertionError(f"no column extends the staircase order {order}")
+        order.append(col)
+        finished += done
+        rows = rest
+        cols.remove(col)
+        placed |= 1 << col
+    return order, finished
 
 
 def find_staircase(matrix: GroupRingMatrix, allow_row_permutation=True, cap=12):
-    """Exact search for a staircase certificate over the support pattern.
+    """Decide by peeling whether the support pattern has a staircase.
 
     With row permutation allowed (the default) any row order may be used;
-    otherwise rows stay in matrix order.  Deterministic: the returned
-    certificate has the lexicographically least column order.  Matrices over
-    the size cap are rejected rather than approximated.
+    otherwise rows stay in matrix order.  Deterministic: a certificate has
+    the lexicographically least column order, with rows in the order their
+    last nonzero comes.  Otherwise an :class:`ImpossibleProof` names a row
+    set that blocks every column order, re-verified before it is returned.
+    The decision is polynomial, so ``cap`` is a bound on the shape rather
+    than on the time; matrices over it are refused with ``UnsupportedError``.
     """
     m, n = matrix.shape
     if m > cap or n > cap:
         raise UnsupportedError(
             f"shape {m}x{n} exceeds the exact-search cap {cap}")
-    if m == 0:
-        return StaircaseCertificate(rows=(), cols=tuple(range(n)), diag=())
-    pattern = matrix.pattern()
-    masks = _pattern_masks(pattern)
-    if any(mask == 0 for mask in masks):
-        return ImpossibleProof(
-            mode="row-free" if allow_row_permutation else "row-fixed",
-            explored=0, reason="a zero row admits no staircase position")
-    if m > n:
-        return ImpossibleProof(
-            mode="row-free" if allow_row_permutation else "row-fixed",
-            explored=0, reason="more rows than columns")
-
-    order, explored = _search(masks, n, row_fixed=not allow_row_permutation)
-    if order is None:
-        return ImpossibleProof(
-            mode="row-free" if allow_row_permutation else "row-fixed",
-            explored=explored)
-    # recover the row order: sort rows by last-nonzero position under `order`
-    positions = {}
-    for r, mask in enumerate(masks):
-        positions[r] = max(k for k in range(n) if mask >> order[k] & 1)
-    rows = tuple(range(m)) if not allow_row_permutation else tuple(
-        sorted(range(m), key=positions.get))
-    cert = is_lower_trapezoidal(matrix, rows, tuple(order))
+    row_fixed = not allow_row_permutation
+    masks = _pattern_masks(matrix.pattern())
+    stuck = _peel(masks, range(m), range(n), row_fixed)
+    if stuck:
+        if not _blocks(masks, stuck, n, row_fixed):
+            raise AssertionError(f"peeling stuck on rows {stuck} that do not block")
+        reason = (f"rows {stuck} block every column order: each column meeting "
+                  "them meets at least two")
+        if row_fixed:
+            reason += f", or one that is not row {stuck[-1]}"
+        return ImpossibleProof(mode="row-fixed" if row_fixed else "row-free",
+                               rows=tuple(stuck), reason=reason)
+    order, rows = _least_order(masks, n, row_fixed)
+    cert = is_lower_trapezoidal(matrix, rows, order)
     if not isinstance(cert, StaircaseCertificate):
-        raise AssertionError(f"search produced an invalid certificate: {cert}")
+        raise AssertionError(f"peeling produced an invalid certificate: {cert}")
     return cert
 
 

@@ -67,9 +67,6 @@ class Word:
         """First ``k`` letters (freely reduced already)."""
         return Word(self.letters[:k], _reduced=True)
 
-    def is_identity(self):
-        return not self.letters
-
     def generators_used(self):
         return sorted({i for i, _ in self.letters})
 

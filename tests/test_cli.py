@@ -175,6 +175,22 @@ class TestDispatch:
         report = json.loads(captured.err)
         assert report["command"] == "engulf" and flag in report["error"]
 
+    @pytest.mark.parametrize("h_edges, cycle, label", [
+        ("zz", "e1:1,e2:-1", "zz"),
+        ("e1", "zz:1", "zz"),
+        ("7", "e1:1,e2:-1", "7"),
+    ])
+    def test_lift_unknown_edge_label_is_a_json_refusal(self, theta_file, capsys,
+                                                       h_edges, cycle, label):
+        status = main(["lift", "--graph", theta_file, "--h-edges", h_edges,
+                       "--cycle", cycle, "--json"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "schema": 1, "command": "lift",
+            "error": f"unknown edge label '{label}'"}
+
     @pytest.mark.parametrize("n", [1001, 1500, 100000000])
     def test_verify_example_above_cap_is_refused(self, n):
         status, report, text = dispatch(["verify-example", "--n", str(n)])

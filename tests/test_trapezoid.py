@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from onerel import trapezoid
 from onerel.domains import ZZ, PrimeFieldDomain
 from onerel.errors import InputError, UnsupportedError
 from onerel.foxcalc import QuotientMap, resolution_complex
@@ -15,13 +16,14 @@ from onerel.trapezoid import (ImpossibleProof, StaircaseCertificate,
 Z2 = ZPowOracle(2)
 
 
-def zmatrix(pattern, oracle=Z2, nonzero=None):
+def zmatrix(pattern, oracle=Z2, nonzero=None, ncols=None):
     """Build a matrix whose entries are 0 or a fixed nonzero element."""
     if nonzero is None:
         nonzero = GroupRingElement.one(oracle, ZZ)
     zero = GroupRingElement.zero(oracle, ZZ)
     return GroupRingMatrix(oracle, ZZ,
-                           [[nonzero if v else zero for v in row] for row in pattern])
+                           [[nonzero if v else zero for v in row] for row in pattern],
+                           ncols=ncols)
 
 
 def brute_force_exists(pattern, row_free):
@@ -44,6 +46,32 @@ def brute_force_exists(pattern, row_free):
             if ok:
                 return True
     return False
+
+
+def brute_force_first(pattern, ncols, row_free):
+    """Independent oracle: the staircase of the first working column order.
+
+    Column orders are tried in ``itertools.permutations`` order; rows are
+    sorted by last nonzero position in row-free mode and stay put otherwise.
+    Returns ``(rows, cols, diag)``, or None when no column order works.
+    """
+    rows = range(len(pattern))
+    for cols in itertools.permutations(range(ncols)):
+        lasts = [max((k for k in range(ncols) if pattern[r][cols[k]]), default=None)
+                 for r in rows]
+        if None in lasts:
+            continue
+        order = sorted(rows, key=lasts.__getitem__) if row_free else list(rows)
+        diag = [lasts[r] for r in order]
+        if all(a < b for a, b in zip(diag, diag[1:])):
+            return tuple(order), cols, tuple(diag)
+    return None
+
+
+def random_pattern(rng, max_rows, max_cols):
+    m, n = rng.randint(0, max_rows), rng.randint(0, max_cols)
+    density = rng.choice((0.25, 0.4, 0.55, 0.7))
+    return [[rng.random() < density for _ in range(n)] for _ in range(m)], n
 
 
 class TestIsLowerTrapezoidal:
@@ -139,6 +167,77 @@ class TestFindStaircase:
             result = find_staircase(zmatrix(pattern), allow_row_permutation=row_free)
             assert isinstance(result, StaircaseCertificate) == \
                 brute_force_exists(pattern, row_free)
+
+    @pytest.mark.parametrize("row_free", [True, False])
+    def test_certificate_is_the_first_in_permutation_order(self, rng, row_free):
+        for _ in range(300):
+            pattern, n = random_pattern(rng, 5, 5)
+            result = find_staircase(zmatrix(pattern, ncols=n),
+                                    allow_row_permutation=row_free)
+            expected = brute_force_first(pattern, n, row_free)
+            if expected is None:
+                assert isinstance(result, ImpossibleProof)
+            else:
+                assert (result.rows, result.cols, result.diag) == expected
+
+    @pytest.mark.parametrize("row_free", [True, False])
+    def test_impossible_rows_block_every_column_order(self, rng, row_free):
+        proofs = 0
+        for _ in range(300):
+            pattern, n = random_pattern(rng, 6, 5)
+            result = find_staircase(zmatrix(pattern, ncols=n),
+                                    allow_row_permutation=row_free)
+            if isinstance(result, StaircaseCertificate):
+                continue
+            proofs += 1
+            rows = list(result.rows)
+            assert rows and rows == sorted(set(rows)) and rows[-1] < len(pattern)
+            assert result.mode == ("row-free" if row_free else "row-fixed")
+            assert result.reason.startswith(f"rows {rows} block every column order")
+            # the named rows alone, in their given order, admit no staircase
+            assert brute_force_first([pattern[r] for r in rows], n, row_free) is None
+        assert proofs > 50
+
+    @pytest.mark.parametrize("row_free", [True, False])
+    def test_zero_row_and_more_rows_than_columns_refused(self, row_free):
+        zero_row = find_staircase(zmatrix([[1, 1], [0, 0]]),
+                                  allow_row_permutation=row_free)
+        assert isinstance(zero_row, ImpossibleProof)
+        # in row-fixed mode row 0 cannot finish after the zero row 1 either
+        assert zero_row.rows == ((1,) if row_free else (0, 1))
+        tall = find_staircase(zmatrix([[1, 0], [0, 1], [1, 1]]),
+                              allow_row_permutation=row_free)
+        assert isinstance(tall, ImpossibleProof)
+        assert tall.rows == (0, 1, 2)
+
+    @pytest.mark.parametrize("row_free", [True, False])
+    def test_blocking_row_sets_admit_no_staircase(self, rng, row_free):
+        blocked = 0
+        for _ in range(300):
+            pattern, n = random_pattern(rng, 5, 5)
+            masks = trapezoid._pattern_masks(pattern)
+            rows = sorted(rng.sample(range(len(pattern)),
+                                     rng.randint(0, len(pattern))))
+            if trapezoid._blocks(masks, rows, n, not row_free):
+                blocked += 1
+                assert brute_force_first([pattern[r] for r in rows], n,
+                                         row_free) is None
+        assert blocked > 20
+
+    def test_a_row_set_that_does_not_block_is_not_returned(self, monkeypatch):
+        # column 1 finishes row 1 alone, so rows [0, 1] are no proof
+        monkeypatch.setattr(trapezoid, "_peel", lambda *args: [0, 1])
+        with pytest.raises(AssertionError):
+            find_staircase(zmatrix([[1, 0], [1, 1]]))
+
+    def test_impossible_reason_names_the_rows(self):
+        m = zmatrix([[1, 1], [0, 1]])
+        assert find_staircase(m, allow_row_permutation=False).reason == (
+            "rows [0, 1] block every column order: each column meeting them "
+            "meets at least two, or one that is not row 1")
+        assert find_staircase(zmatrix([[1, 1], [1, 1]])).reason == (
+            "rows [0, 1] block every column order: each column meeting them "
+            "meets at least two")
 
 
 class TestCertifyDiagonal:
