@@ -3,8 +3,10 @@
 Each case is an argv for ``onerel.cli.main``, run in-process from the
 repository root.  Its golden file ``tests/golden/<case>.txt`` records the
 exit status, stdout and stderr byte for byte; ``tests/test_golden.py``
-compares a fresh run against it.  Rewrite the files only when an output is
-meant to change, and review the diff:
+compares a fresh run against it.  The ``TRIPLETS`` cases pin the file that
+``complex --triplets`` writes, in ``tests/golden/triplets/<case>.txt``.
+Rewrite the files only when an output is meant to change, and review the
+diff:
 
     PYTHONPATH=src python3 tests/golden/capture.py          # every case
     PYTHONPATH=src python3 tests/golden/capture.py fox_a    # named cases
@@ -16,9 +18,11 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
+TRIPLET_DIR = GOLDEN / "triplets"
 ROOT = GOLDEN.parent.parent
 INPUTS = "tests/golden/inputs"
 
@@ -33,6 +37,7 @@ MULTI = f"{INPUTS}/multi.graph"
 LADDER = {
     6: "a -> (1 2), b -> (1 2 3)",
     12: "a -> (1 2)(3 4), b -> (1 2 3)",
+    24: "a -> (1 2), b -> (2 3 4)",
     60: "a -> (1 2)(3 4), b -> (1 3 5)",
 }
 
@@ -146,6 +151,16 @@ def _cases():
     out += _both("engulf_trefoil_quotient",
                  ["engulf", "--file", TREFOIL, "--quotient", LADDER[6],
                   "--terms", "a:1;b:1;1:-1", "--field", "2"])
+    # a single-term element has only scalar witnesses: "none"; the
+    # coefficients 1 and 2 of a cancel over F3, leaving the identity
+    for order, terms, field, side, tag in (
+            (24, "b:2", "Q", "left", "none_q"),
+            (24, "a:1;b:1;1:-1", "3", "right", "witness_f3"),
+            (60, "1:1;a:1;b:-1", "Q", "right", "witness_q"),
+            (60, "1:1;a:1;a:2", "3", "left", "none_f3")):
+        out += _both(f"engulf_trefoil_{order}_{tag}",
+                     ["engulf", "--file", TREFOIL, "--quotient", LADDER[order],
+                      "--terms", terms, "--field", field, "--side", side])
     out += _both("engulf_infinite_refused",
                  ["engulf", "--file", TREFOIL, "--terms", "a:1", "--field", "Z"])
 
@@ -188,6 +203,16 @@ def _cases():
 
 CASES = dict(_cases())
 
+# ``complex`` runs whose ``--triplets`` file is pinned: a torsion cover, one
+# with loop edges (b maps to the identity) and two trefoil quotients
+TRIPLETS = {
+    "cyclic6_torsion": ["complex", "--file", f"{INPUTS}/cyclic6_torsion.grp"],
+    "loop_edges": ["complex", "--file", f"{INPUTS}/rowfixed.grp",
+                   "--quotient", "a -> (1 2), b -> ()"],
+    "trefoil_12": ["complex", "--file", TREFOIL, "--quotient", LADDER[12]],
+    "trefoil_60": ["complex", "--file", TREFOIL, "--quotient", LADDER[60]],
+}
+
 
 def run(argv):
     """``(status, stdout, stderr)`` of one in-process CLI run from the root."""
@@ -213,10 +238,29 @@ def path_of(name):
     return GOLDEN / f"{name}.txt"
 
 
+def triplets(argv):
+    """The text that ``argv + ["--triplets", file]`` writes to the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "triplets.txt")
+        status, _, err = run(list(argv) + ["--triplets", path])
+        if status:
+            raise RuntimeError(f"{argv} exited with status {status}: {err}")
+        return Path(path).read_text(encoding="utf-8")
+
+
+def triplet_path_of(name):
+    return TRIPLET_DIR / f"{name}.txt"
+
+
 def main(names):
     for name in names or CASES:
-        path_of(name).write_text(render(*run(CASES[name])), encoding="utf-8")
-    print(f"wrote {len(names or CASES)} golden files under {GOLDEN}")
+        if name in CASES:
+            path_of(name).write_text(render(*run(CASES[name])), encoding="utf-8")
+    TRIPLET_DIR.mkdir(exist_ok=True)
+    for name in names or TRIPLETS:
+        if name in TRIPLETS:
+            triplet_path_of(name).write_text(triplets(TRIPLETS[name]), encoding="utf-8")
+    print(f"wrote {len(names or [*CASES, *TRIPLETS])} golden files under {GOLDEN}")
 
 
 if __name__ == "__main__":

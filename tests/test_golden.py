@@ -1,7 +1,8 @@
 """Byte-for-byte CLI outputs against the golden corpus in ``tests/golden/``.
 
 Each case runs ``onerel.cli.main`` in-process and compares the exit status,
-stdout and stderr with the file written by ``tests/golden/capture.py``.
+stdout and stderr with the file written by ``tests/golden/capture.py``; the
+triplet cases compare the file that ``complex --triplets`` writes.
 """
 
 import difflib
@@ -27,3 +28,15 @@ def test_every_golden_file_has_a_case():
     stale = sorted(p.stem for p in capture.GOLDEN.glob("*.txt")
                    if p.stem not in capture.CASES)
     assert not stale, f"golden files without a case: {stale}"
+
+
+@pytest.mark.parametrize("name", sorted(capture.TRIPLETS))
+def test_golden_triplets(name):
+    expected = capture.triplet_path_of(name).read_text(encoding="utf-8")
+    assert capture.triplets(capture.TRIPLETS[name]) == expected, name
+
+
+def test_every_triplet_file_has_a_case():
+    stale = sorted(p.stem for p in capture.TRIPLET_DIR.glob("*.txt")
+                   if p.stem not in capture.TRIPLETS)
+    assert not stale, f"triplet files without a case: {stale}"
