@@ -103,7 +103,7 @@ def _cmd_complex(args):
         "degree": q.degree,
         "group_order": q.order,
         "transitive": q.is_transitive,
-        "shape": {"d2_rows": len(c.d2), "edges": len(c.d1), "vertices": len(c.d1[0]) if c.d1 else 0},
+        "shape": dict(zip(("d2_rows", "edges", "vertices"), c.shape)),
         "composite_zero": True,    # build_cover_complex verified it
         "homology": {
             "h0_free_rank": h.h0_free_rank, "h0_torsion": h.h0_torsion,

@@ -1,25 +1,27 @@
 """Finite-cover chain complexes, exact homology and subword scans.
 
 Pushing a presentation's derivative matrix through the regular representation
-of a finite quotient gives integer boundary matrices for the corresponding
+of a finite quotient gives the integer boundary maps of the corresponding
 cover of the presentation complex.  Chains are row vectors acted on from the
-right, so the matrix composite ``D2 @ D1`` must vanish.  The 1-skeleton is the
-Cayley graph of the quotient, and a 1-cycle is fixed by its coefficients on
-the edges outside a spanning forest, so homology and lattice generation
-questions are settled in spanning-forest coordinates: ranks and Smith
-invariants of ``D2`` restricted to the non-forest edges.
+right, so the composite ``D2 @ D1`` must vanish.  ``D2`` is kept as sparse
+rows, a handful of +-1 entries each, read straight off the derivative matrix;
+``D1`` is the incidence of the 1-skeleton, the Cayley graph of the quotient.
+A 1-cycle is fixed by its coefficients on the edges outside a spanning
+forest, so homology and lattice generation questions are settled in
+spanning-forest coordinates: ranks and Smith invariants of ``D2`` restricted
+to the non-forest edges, from the sparse elimination kernel in
+:mod:`onerel.intlinalg`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domains import Domain, ZZ
 from .errors import InputError
 from .foxcalc import QuotientMap, jacobian
 from .graphs import Graph
-from .intlinalg import (field_rank, is_zero_matrix, mat_mul, quotient_invariants,
-                        spans_saturated)
+from .intlinalg import field_rank, quotient_invariants, spans_saturated
 # Unused here; the benchmark's tracer test patches ``covers.solve_left``.
 from .intlinalg import solve_left
 from .presentations import Presentation
@@ -47,97 +49,92 @@ class FiniteQuotient:
         return self.map.apply(w)
 
 
-def _regular_blocks(element_list, oracle):
-    index = {oracle.key(g): i for i, g in enumerate(element_list)}
-
-    def block(ring_elem):
-        n = len(element_list)
-        mat = [[0] * n for _ in range(n)]
-        for _, (g, coeff) in ring_elem.terms.items():
-            for p, elem in enumerate(element_list):
-                q = index[oracle.key(oracle.multiply(elem, g))]
-                mat[p][q] += coeff
-        return mat
-
-    return block
-
-
 @dataclass
 class CoverComplex:
+    """The cover's boundary maps: ``d2`` as sparse rows, ``d1`` as the skeleton.
+
+    Row ``i * |Q| + k`` of ``d2`` is the 2-cell of relator ``i`` at element
+    ``k``, a dict ``{column: coefficient}``; column ``s * |Q| + k`` is the edge
+    of generator ``s`` at element ``k``, which is edge ``s * |Q| + k`` of the
+    skeleton.  ``d1`` is the skeleton's incidence matrix.
+    """
+
     presentation: Presentation
     quotient: FiniteQuotient
     domain: Domain
-    d2: list                  # (|W|*|Q|) x (|S|*|Q|) integer matrix
-    d1: list                  # (|S|*|Q|) x |Q| integer matrix
+    rows: list                # the rows of d2
     skeleton: Graph           # the 1-skeleton; its edges are the rows of d1
-    row_labels: list = field(default_factory=list)   # (relator index, element)
-    col_labels: list = field(default_factory=list)   # (generator name, element)
-    vertex_labels: list = field(default_factory=list)
+
+    @property
+    def d2(self):
+        """Dense read-only copy of ``d2``, for readers outside the library."""
+        width = self.skeleton.n_edges()
+        return [[row.get(j, 0) for j in range(width)] for row in self.rows]
+
+    @property
+    def d1(self):
+        """Dense read-only copy of ``d1``, for readers outside the library."""
+        width = len(self.skeleton.vertices)
+        return [[row.get(v, 0) for v in range(width)] for row in self._d1_rows()]
+
+    def _d1_rows(self):
+        return [self.skeleton.boundary({e: 1}) for e in range(self.skeleton.n_edges())]
 
     @property
     def shape(self):
-        return (len(self.d2), len(self.d2[0]) if self.d2 else len(self.d1),
-                len(self.d1[0]) if self.d1 else 0)
+        """(2-cells, edges, vertices), with no vertex columns when there is no edge."""
+        edges = self.skeleton.n_edges()
+        return len(self.rows), edges, len(self.skeleton.vertices) if edges else 0
 
     def composite_is_zero(self):
-        return is_zero_matrix(mat_mul(self.d2, self.d1)) if self.d2 else True
+        return not any(self.skeleton.boundary(row) for row in self.rows)
 
     def to_triplet_text(self):
         """Sparse triplet serialisation: header then ``row col value`` lines."""
+        rows, edges, vertices = self.shape
         out = []
-        for name, mat in (("d2", self.d2), ("d1", self.d1)):
-            rows = len(mat)
-            cols = len(mat[0]) if mat else 0
-            out.append(f"matrix {name} {rows} {cols}")
+        for name, mat, cols in (("d2", self.rows, edges if rows else 0),
+                                ("d1", self._d1_rows(), vertices)):
+            out.append(f"matrix {name} {len(mat)} {cols}")
             for i, row in enumerate(mat):
-                for j, v in enumerate(row):
-                    if v:
-                        out.append(f"{i} {j} {v}")
+                out += [f"{i} {j} {v}" for j, v in sorted(row.items())]
         return "\n".join(out)
 
 
 def build_cover_complex(p: Presentation, q: FiniteQuotient,
                         domain: Domain = ZZ) -> CoverComplex:
-    """Boundary matrices of the cover of the presentation complex at ``q``.
+    """Boundary maps of the cover of the presentation complex at ``q``.
 
-    Entries of the derivative matrix are replaced by their right-regular
-    permutation-matrix images.  The edge ``(s, g)`` runs from vertex ``g`` to
-    vertex ``g * phi(s)``, and ``d1`` is the incidence matrix of that Cayley
-    graph (a loop gives a zero row); the composite is verified to vanish
-    exactly.
+    Row ``(i, g)`` of ``d2`` is read off the derivative matrix ``J``: it is
+    ``{j * |Q| + idx(g * h): c for (h, c) in J[i][j]}``, the right-regular
+    image of ``J[i][j]``.  The edge ``(s, g)`` runs from vertex ``g`` to vertex
+    ``g * phi(s)`` (a loop has zero boundary).  Every row's boundary is
+    verified to vanish exactly.
     """
     jac = jacobian(p, q.map, ZZ)
     elements = q.elements
     oracle = q.oracle
-    block = _regular_blocks(elements, oracle)
     n = len(elements)
+    index = {oracle.key(g): k for k, g in enumerate(elements)}
+    shifts = {}
 
-    d2 = []
-    row_labels = []
+    def shift(h):
+        """``[idx(g * h) for g in elements]``, computed once per distinct h."""
+        k = oracle.key(h)
+        if k not in shifts:
+            shifts[k] = [index[oracle.key(oracle.multiply(g, h))] for g in elements]
+        return shifts[k]
+
+    rows = []
     for i in range(jac.nrows):
-        blocks = [block(jac.entry(i, j)) for j in range(jac.ncols)]
-        for p_idx in range(n):
-            d2.append([blocks[j][p_idx][c] for j in range(jac.ncols) for c in range(n)])
-            row_labels.append((i, oracle.render(elements[p_idx])))
+        terms = [(j * n, shift(h), c) for j in range(jac.ncols)
+                 for h, c in jac.entry(i, j).terms.values()]
+        rows += [{base + images[k]: c for base, images, c in terms} for k in range(n)]
 
-    index = {oracle.key(g): i for i, g in enumerate(elements)}
-    edges = []
-    col_labels = []
-    for s in range(p.rank):
-        image = q.image(Word([(s, 1)]))
-        for p_idx, g in enumerate(elements):
-            edges.append((p_idx, index[oracle.key(oracle.multiply(g, image))]))
-            col_labels.append((p.names[s], oracle.render(g)))
-    skeleton = Graph(range(n), edges)
-    d1 = [[0] * n for _ in edges]
-    for e, row in enumerate(d1):
-        for v, coeff in skeleton.boundary({e: 1}).items():
-            row[v] = coeff
-
-    complex_ = CoverComplex(
-        presentation=p, quotient=q, domain=domain, d2=d2, d1=d1, skeleton=skeleton,
-        row_labels=row_labels, col_labels=col_labels,
-        vertex_labels=[oracle.render(g) for g in elements])
+    edges = [(k, head) for s in range(p.rank)
+             for k, head in enumerate(shift(q.image(Word([(s, 1)]))))]
+    complex_ = CoverComplex(presentation=p, quotient=q, domain=domain, rows=rows,
+                            skeleton=Graph(range(n), edges))
     if not complex_.composite_is_zero():
         raise InputError("cover boundary matrices do not compose to zero")
     return complex_
@@ -166,17 +163,20 @@ class HomologyReport:
 
 
 def _cycle_coordinates(c: CoverComplex):
-    """Rows of ``d2`` on the non-forest edges of the 1-skeleton, and the forest size.
+    """Rows of ``d2`` on the non-forest edges of the 1-skeleton, and their count.
 
     Restriction to the non-forest edges maps the cycle lattice ``ker d1``
     isomorphically onto their coordinate lattice: the fundamental cycles are
     a basis, each 1 on its own such edge and 0 on the others, and a cycle
     vanishing there lies on a forest, so it is 0.  Every row of ``d2`` is a
-    cycle because ``d2 @ d1`` was verified to vanish.
+    cycle because its boundary was verified to vanish.
     """
     forest, _ = c.skeleton.spanning_forest()
-    cols = [e for e in range(len(c.d1)) if e not in forest]
-    return [[row[e] for e in cols] for row in c.d2], len(forest)
+    non_forest = [e for e in range(c.skeleton.n_edges()) if e not in forest]
+    position = {e: k for k, e in enumerate(non_forest)}
+    coords = [{position[e]: v for e, v in row.items() if e in position}
+              for row in c.rows]
+    return coords, len(position)
 
 
 def homology(c: CoverComplex) -> HomologyReport:
@@ -191,12 +191,12 @@ def homology(c: CoverComplex) -> HomologyReport:
     of ``d2``.  Over Z this is Smith-form exact; over a field the torsion
     lists are empty and the free ranks are dimensions.
     """
-    coords, forest_size = _cycle_coordinates(c)
-    n_cycles = len(c.d1) - forest_size
+    coords, n_cycles = _cycle_coordinates(c)
     if c.domain.is_field:
         h1_free, h1_torsion = n_cycles - field_rank(coords, c.domain), []
     else:
         h1_free, h1_torsion = quotient_invariants(n_cycles, coords)
+    forest_size = c.skeleton.n_edges() - n_cycles
     return HomologyReport(domain=c.domain,
                           h0_free_rank=len(c.skeleton.vertices) - forest_size,
                           h0_torsion=[], h1_free_rank=h1_free, h1_torsion=h1_torsion)
@@ -212,11 +212,10 @@ def generation_check(c: CoverComplex, rows) -> bool:
     """
     rows = sorted(set(int(r) for r in rows))
     for r in rows:
-        if not 0 <= r < len(c.d2):
+        if not 0 <= r < len(c.rows):
             raise InputError(f"row index {r} out of range")
-    coords, forest_size = _cycle_coordinates(c)
-    return spans_saturated([coords[r] for r in rows], len(c.d1) - forest_size,
-                           c.domain)
+    coords, n_cycles = _cycle_coordinates(c)
+    return spans_saturated([coords[r] for r in rows], n_cycles, c.domain)
 
 
 @dataclass

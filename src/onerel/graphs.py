@@ -66,11 +66,12 @@ class Graph:
     def boundary(self, chain, domain=ZZ):
         """Vertex chain of a 1-chain: head gets +coeff, tail gets -coeff."""
         out = {}
+        zero, add, neg = domain.zero, domain.add, domain.neg
         for e, c in chain.items():
             tail, head, _ = self.edges[e]
-            out[head] = domain.add(out.get(head, domain.zero), c)
-            out[tail] = domain.add(out.get(tail, domain.zero), domain.neg(c))
-        return {v: c for v, c in out.items() if not domain.is_zero(c)}
+            out[head] = add(out.get(head, zero), c)
+            out[tail] = add(out.get(tail, zero), neg(c))
+        return {v: c for v, c in out.items() if c != zero}
 
     def spanning_forest(self, edge_subset=None, roots=None):
         """Deterministic BFS forest: returns (tree edge set, parent map).
@@ -232,7 +233,8 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     # spanning-forest coordinates: a cycle is fixed by its non-forest entries
     tree, _ = graph.spanning_forest()
     cols = [e for e in range(n) if e not in tree]
-    coords = [[chain.get(e, domain.zero) for e in cols] for chain in off_basis + [r]]
+    coords = [{k: chain[e] for k, e in enumerate(cols) if e in chain}
+              for chain in off_basis + [r]]
     if not spans_saturated(coords, len(cols), domain):
         return NotApplicable(
             "the cycle space is not spanned by the cycle plus off-H cycles")

@@ -282,24 +282,18 @@ def engulfing_search_finite(m: GroupRingElement, side="left") -> EngulfingReport
 
     elems = oracle.elements()
     index = {oracle.key(g): i for i, g in enumerate(elems)}
-    n = len(elems)
     supp = m.support()
-    outside = [k for k in index if k not in supp]
+    inverses = [(oracle.invert(me), mc) for me, mc in m.terms.values()]
 
-    # constraint rows: one per group element outside supp(m); columns index r
-    rows = []
-    for h_key in outside:
-        row = [dom.zero] * n
-        for mk, (me, mc) in m.terms.items():
-            # find g with g*me = h (left) or me*g = h (right)
-            me_inv = oracle.invert(me)
-            h_elem = elems[index[h_key]]
-            g = oracle.multiply(h_elem, me_inv) if side == "left" else oracle.multiply(me_inv, h_elem)
-            row[index[oracle.key(g)]] = dom.add(row[index[oracle.key(g)]], mc)
-        rows.append(row)
-
-    # x @ A = 0 with one column of A per constraint
-    a_matrix = [[rows[c][g] for c in range(len(rows))] for g in range(n)]
+    # x @ A = 0 with x the coefficients of r: column c of A is the coefficient
+    # of the c-th element h outside supp(m) in r*m (or m*r), which collects
+    # mc from the g with g*me = h (or me*g = h), one g per term of m
+    a_matrix = [{} for _ in elems]
+    outside = (h for h in elems if oracle.key(h) not in supp)
+    for c, h in enumerate(outside):
+        for me_inv, mc in inverses:
+            g = oracle.multiply(h, me_inv) if side == "left" else oracle.multiply(me_inv, h)
+            a_matrix[index[oracle.key(g)]][c] = mc
     basis = nullspace(a_matrix, dom)
 
     dim = len(basis)

@@ -1,41 +1,30 @@
-"""Exact linear algebra: Hermite/Smith forms over Z, row reduction over fields.
+"""Exact linear algebra: one sparse elimination kernel over Z and fields.
 
-All matrices are lists of row lists.  Integer routines use Python's
-arbitrary-precision ints; field routines take a :class:`~onerel.domains.Domain`
-with ``is_field`` set.  Conventions are row-centric throughout: lattices are
+A matrix is a list of rows, each a dense list or a sparse dict
+``{column: value}``.  Conventions are row-centric throughout: lattices are
 spanned by rows, kernels are left kernels ``{x : x @ M = 0}``, matching chain
-complexes that act on row vectors from the right.
+complexes that act on row vectors from the right.  Integer routines use
+Python's arbitrary-precision ints; field routines take a
+:class:`~onerel.domains.Domain` with ``is_field`` set and work on plain ints
+mod p over F_p and on ``Fraction`` over Q.
+
+One kernel, :func:`_eliminate`, takes pivots in Markowitz order from a heap.
+Over Z it takes only +-1 pivots: such a row-and-column step is unimodular
+(a reduction in the sense of Kaczynski, Mrozek and Slusarek, Comput. Math.
+Appl. 35, 1998), so each contributes a Smith invariant 1 and leaves the
+invariants of the rest alone, as in the elimination-based Smith form of
+Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001).  The core left
+without a unit entry goes to the dense :func:`snf_invariants`.  Over a field
+every nonzero entry is a pivot.  :func:`nullspace` needs the canonical
+reduced row echelon form instead, so it eliminates in column order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
+
 from .errors import InputError
-
-
-def mat_mul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise InputError("matrix shape mismatch")
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for k, x in enumerate(row):
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    acc[j] += x * bk[j]
-        out.append(acc)
-    return out
-
-
-def is_zero_matrix(m):
-    return all(all(x == 0 for x in row) for row in m)
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
 
 
 def _swap(m, i, j):
@@ -186,44 +175,110 @@ def snf_invariants(mat):
     return invariants
 
 
+# -- the sparse kernel --------------------------------------------------------
+
+
+def _sparse(rows, coerce=int):
+    """Fresh ``{column: value}`` rows with values coerced and zeros dropped."""
+    out = []
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        out.append({j: v for j, x in items if (v := coerce(x))})
+    return out
+
+
+def _modulus(field):
+    """p for F_p, 0 for Q."""
+    return getattr(field, "p", 0)
+
+
+def _subtract(row, f, pivot, p):
+    """``row -= f * pivot`` in place, mod p when p > 0.
+
+    Returns the columns whose entry appeared or vanished.  No product
+    ``f * y`` is zero (p is prime), so an entry vanishes only where it was.
+    """
+    flipped = []
+    for j, y in pivot.items():
+        x = row.get(j, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            if j not in row:
+                flipped.append(j)
+            row[j] = x
+        else:
+            del row[j]
+            flipped.append(j)
+    return flipped
+
+
+def _eliminate(rows, p=0, units=False):
+    """Pivot ``rows`` (sparse, modified in place) away; returns the pivot count.
+
+    Pivots follow Markowitz's rule, least ``(row nnz - 1) * (column nnz - 1)``,
+    in its restricted form: a heap yields the shortest row that holds an
+    admissible entry, and of its admissible entries the one in the shortest
+    column is taken.  With ``units`` only +-1 entries are admissible (over
+    Z); otherwise every nonzero entry is, over F_p when p > 0 and over Q on
+    ``Fraction`` values when p == 0.  A pivot clears its column from the other
+    rows, each of which goes back on the heap, and then leaves with its row
+    and column: the rows left nonempty hold no admissible entry.
+    """
+    cols = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        width, i = heappop(heap)
+        row = rows[i]
+        if len(row) != width:
+            continue        # changed since it was pushed; pushed again then
+        admissible = [j for j, x in row.items() if not units or x == 1 or x == -1]
+        if not admissible:
+            continue
+        j = min(admissible, key=lambda j: len(cols[j]))
+        u = row[j]
+        inv = u if units else pow(u, -1, p) if p else 1 / u
+        for jj in row:
+            cols[jj].discard(i)
+        for k in list(cols[j]):
+            other = rows[k]
+            f = other[j] * inv % p if p else other[j] * inv
+            for jj in _subtract(other, f, row, p):
+                cols[jj].symmetric_difference_update((k,))   # k joins or leaves
+            if other:
+                heappush(heap, (len(other), k))
+        rows[i] = {}
+        pivots += 1
+    return pivots
+
+
+def _invariants(rows):
+    """Nonzero Smith invariants of an integer matrix: unit pivots, then the core."""
+    rows = _sparse(rows)
+    ones = [1] * _eliminate(rows, units=True)
+    core = [row for row in rows if row]
+    if not core:
+        return ones
+    cols = sorted({j for row in core for j in row})
+    return ones + snf_invariants([[row.get(j, 0) for j in cols] for row in core])
+
+
 def quotient_invariants(ambient_rank, relation_rows):
     """Structure of Z^ambient_rank / rowspan as (free_rank, torsion factors)."""
-    if not relation_rows:
-        return ambient_rank, []
-    inv = snf_invariants(relation_rows)
-    torsion = [d for d in inv if d > 1]
-    return ambient_rank - len(inv), torsion
+    inv = _invariants(relation_rows)
+    return ambient_rank - len(inv), [d for d in inv if d > 1]
 
 
 # -- field linear algebra ----------------------------------------------------
 
 
-def rref(mat, field):
-    """Reduced row echelon form over a field: returns (R, pivot columns)."""
-    m = [[field.coerce(x) for x in row] for row in mat]
-    rows, cols = len(m), (len(m[0]) if m else 0)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if not field.is_zero(m[i][c])), None)
-        if pr is None:
-            continue
-        _swap(m, r, pr)
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
 def field_rank(mat, field):
-    return len(rref(mat, field)[1])
+    return _eliminate(_sparse(mat, field.coerce), _modulus(field))
 
 
 def spans_saturated(rows, rank, domain):
@@ -235,20 +290,64 @@ def spans_saturated(rows, rank, domain):
     """
     if domain.is_field:
         return field_rank(rows, domain) == rank
-    return snf_invariants(rows) == [1] * rank
+    return _invariants(rows) == [1] * rank
+
+
+def _rref(rows, p):
+    """Reduced row echelon form of sparse ``rows``: ``{pivot column: row}``.
+
+    Columns are taken in increasing order; of the rows leading at a column the
+    sparsest becomes its pivot, scaled to 1 there, and the others move on to
+    their next leading column.  Back-substitution from the last pivot then
+    clears every pivot column above its pivot.  The result is the unique
+    reduced form of the row space, whatever rows were chosen as pivots.
+    """
+    waiting = defaultdict(list)      # leading column -> rows
+    for row in rows:
+        if row:
+            waiting[min(row)].append(row)
+    heap = list(waiting)
+    heapify(heap)
+    reduced = {}
+    while heap:
+        c = heappop(heap)
+        group = sorted(waiting.pop(c), key=len)
+        inv = pow(group[0][c], -1, p) if p else 1 / group[0][c]
+        pivot = {j: x * inv % p if p else x * inv for j, x in group[0].items()}
+        reduced[c] = pivot
+        for row in group[1:]:
+            _subtract(row, row[c], pivot, p)
+            if row:
+                lead = min(row)
+                if lead not in waiting:
+                    heappush(heap, lead)
+                waiting[lead].append(row)
+    for c in sorted(reduced, reverse=True):
+        row = reduced[c]
+        for q in [j for j in row if j != c and j in reduced]:
+            _subtract(row, row[q], reduced[q], p)
+    return reduced
 
 
 def nullspace(mat, field):
-    """Basis of {x : x @ mat = 0} over a field, from the rref of mat^T."""
-    mt = transpose(mat)
-    red, pivots = rref(mt, field)
+    """Basis of {x : x @ mat = 0} over a field, one vector per free column.
+
+    The equations are the columns of ``mat``.  Each basis vector is 1 at its
+    free coordinate and minus that coordinate's entries at the pivots of the
+    equations' reduced row echelon form; that form is unique, so the basis
+    does not depend on the elimination order.
+    """
     n = len(mat)
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [field.zero] * n
+    equations = defaultdict(dict)
+    for i, row in enumerate(_sparse(mat, field.coerce)):
+        for j, x in row.items():
+            equations[j][i] = x
+    reduced = _rref(equations.values(), _modulus(field))
+    basis = {c: [field.zero] * n for c in range(n) if c not in reduced}
+    for pc, row in reduced.items():
+        for fc, x in row.items():
+            if fc != pc:
+                basis[fc][pc] = field.neg(x)
+    for fc, vec in basis.items():
         vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(red[r][fc])
-        basis.append(vec)
-    return basis
+    return list(basis.values())

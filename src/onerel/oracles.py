@@ -2,8 +2,9 @@
 
 An oracle supplies identity/multiply/invert plus an injective canonical key
 for hashing.  Finite oracles can enumerate all elements (deterministically,
-identity first); ordered oracles expose ``compare``, a right-invariant total
-order.
+identity first) up to ``MAX_QUOTIENT_ORDER`` of them, and refuse a larger
+group with :class:`~onerel.errors.UnsupportedError`; ordered oracles expose
+``compare``, a right-invariant total order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ from collections import deque
 from .errors import InputError, UnsupportedError
 from .magnus import magnus_compare
 from .words import Word
+
+# The largest finite group enumerated, the order-5040 top of the benchmark
+# ladder; a larger one is refused after at most this many elements plus one.
+MAX_QUOTIENT_ORDER = 5040
+
+ORDER_REFUSAL = f"the group has more than {MAX_QUOTIENT_ORDER} elements, the supported maximum"
 
 
 class GroupOracle:
@@ -71,6 +78,8 @@ class ModOracle(GroupOracle):
         return True
 
     def elements(self):
+        if self.n > MAX_QUOTIENT_ORDER:
+            raise UnsupportedError(ORDER_REFUSAL)
         return list(range(self.n))
 
     def render(self, a):
@@ -205,7 +214,7 @@ class PermOracle(GroupOracle):
         return tuple(range(self.degree))
 
     def multiply(self, a, b):
-        return tuple(b[a[i]] for i in range(self.degree))
+        return tuple(map(b.__getitem__, a))
 
     def invert(self, a):
         out = [0] * self.degree
@@ -231,6 +240,8 @@ class PermOracle(GroupOracle):
                 for h in gens:
                     nxt = self.multiply(g, h)
                     if nxt not in seen:
+                        if len(order) == MAX_QUOTIENT_ORDER:
+                            raise UnsupportedError(ORDER_REFUSAL)
                         seen.add(nxt)
                         order.append(nxt)
                         queue.append(nxt)

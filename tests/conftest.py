@@ -36,5 +36,11 @@ def random_cyclically_reduced_word(rng, alphabet_size, length):
     raise AssertionError("failed to sample a cyclically reduced word")
 
 
+def mat_mul(a, b):
+    """Dense integer matrix product, an independent check of the library."""
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))]
+            for row in a]
+
+
 def presentation_on(names, relators):
     return Presentation(names, relators)

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+from pathlib import Path
+
 from onerel.cli import dispatch, main, render
+from onerel.oracles import MAX_QUOTIENT_ORDER
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -202,6 +207,40 @@ class TestDispatch:
         assert status == 0
         assert report["results"]["verdict"] is True
         assert len(str(report["results"]["exponent"])) == 3004
+
+    S12 = "a -> (1 2), b -> (1 2 3 4 5 6 7 8 9 10 11 12)"
+    CAP = "the group has more than 5040 elements, the supported maximum"
+
+    @pytest.mark.parametrize("argv, error", [
+        # the trefoil relator is not killed in S_12, which is refused first
+        (["complex", "--file", "samples/trefoil.grp", "--quotient", S12],
+         "quotient map does not kill relator 0 (a^2*b^-3)"),
+        (["complex", "--file", "POWERS", "--quotient", S12], CAP),
+        (["engulf", "--file", "POWERS", "--quotient", S12, "--terms", "a:1"], CAP),
+        (["engulf", "--cyclic", "5041", "--coeffs", "1,1"], CAP),
+    ])
+    def test_groups_above_the_order_cap_are_json_refusals(self, tmp_path, capsys,
+                                                          monkeypatch, argv, error):
+        monkeypatch.chdir(ROOT)
+        powers = tmp_path / "powers.grp"
+        powers.write_text("gens: a, b\nrels: a^2 ; b^12\n")
+        argv = [str(powers) if a == "POWERS" else a for a in argv]
+        status = main(argv + ["--json"])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert json.loads(captured.err)["error"] == error
+
+    @pytest.mark.parametrize("ring", ["Z", "2"])
+    def test_order_5040_trefoil_cover(self, monkeypatch, ring):
+        monkeypatch.chdir(ROOT)
+        status, report, _ = dispatch(
+            ["complex", "--file", "samples/trefoil.grp", "--quotient",
+             "a -> (1 4)(2 6)(5 7), b -> (1 6 3)(2 5 4)", "--ring", ring])
+        assert status == 0
+        results = report["results"]
+        assert results["group_order"] == MAX_QUOTIENT_ORDER == 5040
+        assert (results["homology"]["h1_free_rank"],
+                results["homology"]["h1_torsion"]) == (842, [])
 
     def test_domain_error_exit_one(self):
         status, report, text = dispatch(

@@ -5,18 +5,18 @@ from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
-from onerel.covers import (FiniteQuotient, _regular_blocks, build_cover_complex,
-                           generation_check, homology, weinbaum_scan)
+from onerel.covers import (FiniteQuotient, build_cover_complex, generation_check,
+                           homology, weinbaum_scan)
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
-from onerel.errors import InputError
+from onerel.errors import InputError, UnsupportedError
+from onerel.foxcalc import jacobian
 from onerel.graphs import Graph
 from onerel.groupring import GroupRingElement
-from onerel.intlinalg import mat_mul, is_zero_matrix
 from onerel.oracles import parse_permutation
 from onerel.presentations import Presentation, parse_presentation
 from onerel.words import Word, free_reduce
 
-from conftest import random_raw_letters, random_reduced_word
+from conftest import mat_mul, random_raw_letters, random_reduced_word
 
 
 def twelve_cycle_quotient(presentation, a_power, b_power):
@@ -52,6 +52,15 @@ class TestBuildCoverComplex:
         assert sorted(map(sorted, c.d1)) == [[-1, 1], [-1, 1]]
         assert c.composite_is_zero()
 
+    def test_order_cap(self, monkeypatch):
+        p = parse_presentation("gens: a, b\nrels: a^2 ; b^3")
+        images = {"a": parse_permutation("(1 2)", 4), "b": parse_permutation("(2 3 4)")}
+        monkeypatch.setattr("onerel.oracles.MAX_QUOTIENT_ORDER", 24)
+        assert FiniteQuotient(p, images).order == 24
+        monkeypatch.setattr("onerel.oracles.MAX_QUOTIENT_ORDER", 23)
+        with pytest.raises(UnsupportedError):
+            FiniteQuotient(p, images)
+
     def test_relator_not_killed(self):
         p = parse_presentation("gens: a\nrels: a^3")
         with pytest.raises(InputError):
@@ -72,8 +81,20 @@ class TestBuildCoverComplex:
             except InputError:
                 continue
             c = build_cover_complex(p, q)
-            assert is_zero_matrix(mat_mul(c.d2, c.d1)) if c.d2 else True
+            assert not c.d2 or not any(map(any, mat_mul(c.d2, c.d1)))
             built += 1
+
+    def test_d2_rows_are_regular_images_of_the_jacobian(self, rng):
+        """Sparse d2 against dense right-regular blocks of the pushed Jacobian."""
+        for c in fixed_and_random_covers(rng):
+            q = c.quotient
+            block = _regular_blocks(q.elements, q.oracle)
+            jac = jacobian(c.presentation, q.map, ZZ)
+            expected = []
+            for i in range(jac.nrows):
+                blocks = [block(jac.entry(i, j)) for j in range(jac.ncols)]
+                expected += [[x for b in blocks for x in b[k]] for k in range(q.order)]
+            assert c.d2 == expected
 
     def test_triplet_export(self):
         p = parse_presentation("gens: a\nrels: a^2\nquotient: a -> (1 2)")
@@ -128,22 +149,23 @@ class TestHomology:
         c = build_cover_complex(p, q)
         h = homology(c)
         for _ in range(5):
-            rows = list(range(len(c.d2)))
-            cols = list(range(len(c.d1)))
-            verts = list(range(len(c.d1[0])))
+            rows = list(range(len(c.rows)))
+            cols = list(range(c.skeleton.n_edges()))
+            verts = list(range(len(c.skeleton.vertices)))
             rng.shuffle(rows)
             rng.shuffle(cols)
             rng.shuffle(verts)
-            d2 = [[c.d2[r][cols[j]] for j in range(len(cols))] for r in rows]
-            d1 = [[c.d1[cols[i]][verts[v]] for v in range(len(verts))]
-                  for i in range(len(cols))]
-            # the skeleton is relabelled with the same permutations
+            # new edge k is old edge cols[k]; new vertex i is old vertex verts[i]
+            new_edge = {e: k for k, e in enumerate(cols)}
             new_vertex = {v: i for i, v in enumerate(verts)}
+            shuffled_rows = [{new_edge[e]: x for e, x in c.rows[r].items()} for r in rows]
             skeleton = Graph(range(len(verts)),
                              [(new_vertex[c.skeleton.edges[e][0]],
                                new_vertex[c.skeleton.edges[e][1]]) for e in cols])
-            assert d1 == incidence_rows(skeleton)
-            shuffled = replace(c, d2=d2, d1=d1, skeleton=skeleton)
+            shuffled = replace(c, rows=shuffled_rows, skeleton=skeleton)
+            assert shuffled.composite_is_zero()
+            assert shuffled.d2 == [[c.d2[r][e] for e in cols] for r in rows]
+            assert shuffled.d1 == [[c.d1[e][v] for v in verts] for e in cols]
             h2 = homology(shuffled)
             assert (h2.h0_free_rank, h2.h0_torsion) == (h.h0_free_rank, h.h0_torsion)
             assert (h2.h1_free_rank, h2.h1_torsion) == (h.h1_free_rank, h.h1_torsion)
@@ -234,6 +256,22 @@ def fixed_and_random_covers(rng):
     for _ in range(20):
         p, q = random_killed_cover(rng)
         yield build_cover_complex(p, q)
+
+
+def _regular_blocks(element_list, oracle):
+    """Dense right-regular images of group-ring elements, block by block."""
+    index = {oracle.key(g): i for i, g in enumerate(element_list)}
+
+    def block(ring_elem):
+        n = len(element_list)
+        mat = [[0] * n for _ in range(n)]
+        for _, (g, coeff) in ring_elem.terms.items():
+            for p, elem in enumerate(element_list):
+                q = index[oracle.key(oracle.multiply(elem, g))]
+                mat[p][q] += coeff
+        return mat
+
+    return block
 
 
 def incidence_rows(graph):

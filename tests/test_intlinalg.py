@@ -1,12 +1,18 @@
+from fractions import Fraction
+
 import pytest
 from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
+from onerel.covers import FiniteQuotient, _cycle_coordinates, build_cover_complex
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
-from onerel.intlinalg import (field_rank, mat_mul, nullspace, quotient_invariants,
-                              row_hnf_transform, snf_invariants, solve_left,
-                              spans_saturated)
+from onerel.intlinalg import (_eliminate, _sparse, field_rank, nullspace,
+                              quotient_invariants, row_hnf_transform, snf_invariants,
+                              solve_left, spans_saturated)
+from onerel.presentations import parse_presentation, parse_quotient
+
+from conftest import mat_mul
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -147,3 +153,116 @@ class TestAgainstSympy:
             expected = DomainMatrix.from_Matrix(sympy_matrix(m, cols)).convert_to(
                 sympy_field).rank()
             assert field_rank(m, field) == expected, m
+
+
+def kernel_cases(rng):
+    """``random_shapes`` plus matrices with entries in -4..4, where rows with
+    no +-1 entry are common, and sparse ones with a few unit entries a row."""
+    yield from random_shapes(rng)
+    for _ in range(60):
+        cols = rng.randrange(1, 8)
+        m = random_matrix(rng, rng.randrange(1, 8), cols, bound=4)
+        if rng.random() < 0.5:
+            m = [[x if rng.random() < 0.3 else 0 for x in row] for row in m]
+        yield m, cols
+
+
+def smith_from_quotient(cols, rows):
+    """All nonzero Smith invariants, read back from ``quotient_invariants``."""
+    free, torsion = quotient_invariants(cols, rows)
+    return [1] * (cols - free - len(torsion)) + torsion
+
+
+def sympy_invariants(m, cols):
+    return [int(d) for d in invariant_factors(sympy_matrix(m, cols), domain=SYMPY_ZZ) if d]
+
+
+def sympy_rank(m, cols, p=None):
+    return DomainMatrix.from_Matrix(sympy_matrix(m, cols)).convert_to(
+        SYMPY_QQ if p is None else GF(p)).rank()
+
+
+# Covers whose cycle coordinates keep a core with no unit entry: <a | a^6> at
+# a 3-cycle (H1 = Z/2) and torus-knot covers with torsion.
+CORE_COVERS = {
+    "a6": ("gens: a\nrels: a^6", "a -> (1 2 3)", (0, [2])),
+    "t35": ("gens: a, b\nrels: a^3*b^-5", "a -> (1 2)(3 4 5), b -> (1 2)", (1, [5, 5])),
+    "t34_s4": ("gens: a, b\nrels: a^3*b^-4", "a -> (2 3 4), b -> (1 2)", (6, [2] * 11)),
+    "t34_a4": ("gens: a, b\nrels: a^3*b^-4", "a -> (1 2 3), b -> (1 2)(3 4)",
+               (4, [2] * 5)),
+}
+
+
+class TestKernel:
+    """The sparse kernel against sympy, the dense Smith form and each other."""
+
+    def test_smith_invariants_against_sympy_and_dense(self, rng):
+        without_unit = 0
+        for m, cols in kernel_cases(rng):
+            expected = sympy_invariants(m, cols)
+            assert smith_from_quotient(cols, m) == expected == snf_invariants(m), m
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+            assert smith_from_quotient(cols, sparse) == expected, m
+            without_unit += any(any(row) and 1 not in row and -1 not in row for row in m)
+        assert without_unit >= 50
+
+    def test_quotient_invariants_against_sympy(self, rng):
+        for m, cols in kernel_cases(rng):
+            factors = sympy_invariants(m, cols)
+            assert quotient_invariants(cols, m) == (
+                cols - len(factors), [d for d in factors if d > 1]), m
+
+    @pytest.mark.parametrize("p", [None, 2, 5], ids=["Q", "F2", "F5"])
+    def test_rank_against_sympy(self, rng, p):
+        field = QQ if p is None else PrimeFieldDomain(p)
+        for m, cols in kernel_cases(rng):
+            assert field_rank(m, field) == sympy_rank(m, cols, p), m
+
+    def test_universal_coefficients(self, rng):
+        """The F_p rank is the number of Smith invariants that p does not divide."""
+        torsion = 0
+        for m, cols in kernel_cases(rng):
+            invariants = smith_from_quotient(cols, m)
+            torsion += any(d > 1 for d in invariants)
+            for p in (2, 3, 5, 7):
+                assert field_rank(m, PrimeFieldDomain(p)) == sum(
+                    1 for d in invariants if d % p), (m, p)
+        assert torsion >= 50
+
+    @pytest.mark.parametrize("case", sorted(CORE_COVERS))
+    def test_cover_with_a_dense_core(self, case):
+        text, images, expected = CORE_COVERS[case]
+        p = parse_presentation(text)
+        q = FiniteQuotient(p, parse_quotient(images, p.names))
+        coords, n_cycles = _cycle_coordinates(build_cover_complex(p, q))
+        rows = _sparse(coords)
+        _eliminate(rows, units=True)
+        assert any(rows), "the unit pivots left no core"
+        dense = [[row.get(j, 0) for j in range(n_cycles)] for row in coords]
+        factors = sympy_invariants(dense, n_cycles)
+        assert snf_invariants(dense) == factors
+        assert quotient_invariants(n_cycles, coords) == expected == (
+            n_cycles - len(factors), [d for d in factors if d > 1])
+
+    def test_nullspace_against_sympy_over_q(self, rng):
+        """The basis is sympy's, vector for vector: both read it off the unique
+        reduced row echelon form of the equations (the columns)."""
+        for m, cols in kernel_cases(rng):
+            if not m:
+                continue
+            expected = [[Fraction(int(x.p), int(x.q)) for x in vec]
+                        for vec in sympy_matrix(m, cols).T.nullspace()]
+            assert nullspace(m, QQ) == expected, m
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_nullspace_over_prime_fields(self, rng, p):
+        field = PrimeFieldDomain(p)
+        for m, cols in kernel_cases(rng):
+            basis = nullspace(m, field)
+            assert len(basis) == len(m) - sympy_rank(m, cols, p), m
+            for vec in basis:
+                assert all(0 <= x < p for x in vec)
+                assert all(sum(x * row[j] for x, row in zip(vec, m)) % p == 0
+                           for j in range(cols)), (m, vec)
+            if basis:
+                assert sympy_rank(basis, len(m), p) == len(basis)
