@@ -8,7 +8,7 @@ Python's arbitrary-precision ints; field routines take a
 :class:`~onerel.domains.Domain` with ``is_field`` set and work on plain ints
 mod p over F_p and on ``Fraction`` over Q.
 
-One kernel, :func:`_eliminate`, takes pivots in Markowitz order from a heap.
+One kernel, :func:`_eliminate`, takes pivots in Markowitz order.
 Over Z it takes only +-1 pivots: such a row-and-column step is unimodular
 (a reduction in the sense of Kaczynski, Mrozek and Slusarek, Comput. Math.
 Appl. 35, 1998), so each contributes a Smith invariant 1 and leaves the
@@ -22,7 +22,6 @@ reduced row echelon form instead, so it eliminates in column order.
 from __future__ import annotations
 
 from collections import defaultdict
-from heapq import heapify, heappop, heappush
 
 from .errors import InputError
 
@@ -217,26 +216,31 @@ def _eliminate(rows, p=0, units=False):
     """Pivot ``rows`` (sparse, modified in place) away; returns the pivot count.
 
     Pivots follow Markowitz's rule, least ``(row nnz - 1) * (column nnz - 1)``,
-    in its restricted form: a heap yields the shortest row that holds an
-    admissible entry, and of its admissible entries the one in the shortest
-    column is taken.  With ``units`` only +-1 entries are admissible (over
-    Z); otherwise every nonzero entry is, over F_p when p > 0 and over Q on
-    ``Fraction`` values when p == 0.  A pivot clears its column from the other
-    rows, each of which goes back on the heap, and then leaves with its row
-    and column: the rows left nonempty hold no admissible entry.
+    in its restricted form: the shortest row that holds an admissible entry
+    comes off a queue of rows bucketed by length, and of its admissible
+    entries the one in the shortest column is taken.  With ``units`` only +-1
+    entries are admissible (over Z); otherwise every nonzero entry is, over
+    F_p when p > 0 and over Q on ``Fraction`` values when p == 0.  A pivot
+    clears its column from the other rows, each of which is queued again, and
+    then leaves with its row and column: the rows left nonempty hold no
+    admissible entry.
     """
     cols = defaultdict(set)
+    waiting = defaultdict(list)     # row length -> rows queued at that length
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
-    heapify(heap)
+        if row:
+            waiting[len(row)].append(i)
     pivots = 0
-    while heap:
-        width, i = heappop(heap)
+    while waiting:
+        width = min(waiting)
+        i = waiting[width].pop()
+        if not waiting[width]:
+            del waiting[width]
         row = rows[i]
         if len(row) != width:
-            continue        # changed since it was pushed; pushed again then
+            continue        # changed since it was queued; queued again then
         admissible = [j for j, x in row.items() if not units or x == 1 or x == -1]
         if not admissible:
             continue
@@ -251,7 +255,7 @@ def _eliminate(rows, p=0, units=False):
             for jj in _subtract(other, f, row, p):
                 cols[jj].symmetric_difference_update((k,))   # k joins or leaves
             if other:
-                heappush(heap, (len(other), k))
+                waiting[len(other)].append(k)
         rows[i] = {}
         pivots += 1
     return pivots
@@ -293,24 +297,23 @@ def spans_saturated(rows, rank, domain):
     return _invariants(rows) == [1] * rank
 
 
-def _rref(rows, p):
+def _rref(rows, width, p):
     """Reduced row echelon form of sparse ``rows``: ``{pivot column: row}``.
 
-    Columns are taken in increasing order; of the rows leading at a column the
-    sparsest becomes its pivot, scaled to 1 there, and the others move on to
-    their next leading column.  Back-substitution from the last pivot then
-    clears every pivot column above its pivot.  The result is the unique
-    reduced form of the row space, whatever rows were chosen as pivots.
+    Columns ``0 .. width - 1`` are taken in order; of the rows leading at a
+    column the sparsest becomes its pivot, scaled to 1 there, and the others
+    move on to their next leading column.  Back-substitution from the last
+    pivot then clears every pivot column above its pivot.  The result is the
+    unique reduced form of the row space, whatever rows were chosen as pivots.
     """
     waiting = defaultdict(list)      # leading column -> rows
     for row in rows:
         if row:
             waiting[min(row)].append(row)
-    heap = list(waiting)
-    heapify(heap)
     reduced = {}
-    while heap:
-        c = heappop(heap)
+    for c in range(width):
+        if c not in waiting:
+            continue
         group = sorted(waiting.pop(c), key=len)
         inv = pow(group[0][c], -1, p) if p else 1 / group[0][c]
         pivot = {j: x * inv % p if p else x * inv for j, x in group[0].items()}
@@ -318,10 +321,7 @@ def _rref(rows, p):
         for row in group[1:]:
             _subtract(row, row[c], pivot, p)
             if row:
-                lead = min(row)
-                if lead not in waiting:
-                    heappush(heap, lead)
-                waiting[lead].append(row)
+                waiting[min(row)].append(row)
     for c in sorted(reduced, reverse=True):
         row = reduced[c]
         for q in [j for j in row if j != c and j in reduced]:
@@ -342,7 +342,7 @@ def nullspace(mat, field):
     for i, row in enumerate(_sparse(mat, field.coerce)):
         for j, x in row.items():
             equations[j][i] = x
-    reduced = _rref(equations.values(), _modulus(field))
+    reduced = _rref(equations.values(), n, _modulus(field))
     basis = {c: [field.zero] * n for c in range(n) if c not in reduced}
     for pc, row in reduced.items():
         for fc, x in row.items():
