@@ -13,7 +13,7 @@ import json
 import sys
 
 from .bsverify import qn_report
-from .covers import FiniteQuotient, build_cover_complex, homology, weinbaum_scan
+from .covers import build_cover_complex, homology, weinbaum_scan
 from .domains import parse_domain
 from .errors import InputError, UnsupportedError
 from .foxcalc import QuotientMap, fox_derivative, resolution_complex
@@ -36,28 +36,27 @@ def _integer(text, what):
         raise InputError(f"{what} {text.strip()!r} is not an integer") from None
 
 
+def _finite_quotient(pres, args):
+    """The permutation quotient of ``--quotient``, the file's stanza, or one point."""
+    if args.quotient:
+        return QuotientMap.permutation(pres, parse_quotient(args.quotient, pres.names))
+    if pres.quotient_images is not None:
+        return QuotientMap.permutation(pres)
+    return QuotientMap.permutation(pres, {name: (0,) for name in pres.names})
+
+
 def _quotient_map(pres, args):
-    if getattr(args, "abelianize", False) or pres.abelianize_requested:
+    if args.abelianize or pres.abelianize_requested:
         return QuotientMap.abelianization(pres)
-    if getattr(args, "to_abelian", None):
+    if args.to_abelian:
         images = {}
         for chunk in args.to_abelian.split(","):
             name, _, value = chunk.partition("=")
             images[pres.gen_index(name.strip())] = _integer(value, "image")
         return QuotientMap.to_abelian(pres, images)
-    if getattr(args, "quotient", None):
-        return QuotientMap.permutation(pres, parse_quotient(args.quotient, pres.names))
-    if pres.quotient_images is not None:
-        return QuotientMap.permutation(pres)
+    if args.quotient or pres.quotient_images is not None:
+        return _finite_quotient(pres, args)
     return QuotientMap.trivial(pres)
-
-
-def _finite_quotient(pres, args):
-    if getattr(args, "quotient", None):
-        return FiniteQuotient(pres, parse_quotient(args.quotient, pres.names))
-    if pres.quotient_images is not None:
-        return FiniteQuotient(pres)
-    return FiniteQuotient.trivial(pres)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -99,10 +98,11 @@ def _cmd_complex(args):
     domain = parse_domain(args.ring)
     c = build_cover_complex(pres, q, domain)
     h = homology(c)
+    degree, order = q.oracle.degree, len(c.skeleton.vertices)
     payload = {
-        "degree": q.degree,
-        "group_order": q.order,
-        "transitive": q.is_transitive,
+        "degree": degree,
+        "group_order": order,
+        "transitive": q.oracle.is_transitive(),
         "shape": dict(zip(("d2_rows", "edges", "vertices"), c.shape)),
         "composite_zero": True,    # build_cover_complex verified it
         "homology": {
@@ -116,7 +116,7 @@ def _cmd_complex(args):
         with open(args.triplets, "w", encoding="utf-8") as fh:
             fh.write(c.to_triplet_text() + "\n")
         payload["triplets_file"] = args.triplets
-    text = (f"cover of degree {q.degree}, group order {q.order}\n"
+    text = (f"cover of degree {degree}, group order {order}\n"
             f"composite is zero: {payload['composite_zero']}\n"
             f"{h.render()}\n"
             f"full rows generate the cycle lattice: {payload['generation_full_rows']}")
@@ -147,36 +147,36 @@ def _cmd_trapezoid(args):
     return payload, text
 
 
+def _node_payload(node):
+    out = {
+        "presentation": {
+            "gens": node.presentation.names,
+            "rels": [w.render(node.presentation.names)
+                     for w in node.presentation.relators],
+        },
+        "status": node.status,
+        "edge": node.edge_kind,
+    }
+    if node.status == "free":
+        out["free_rank"] = node.free_rank
+    if node.status == "cyclic":
+        out["cyclic_order"] = node.cyclic_order
+    if node.edge_kind == "hnn":
+        step = node.edge_data
+        out["hnn"] = {
+            "phi": list(step.phi.values),
+            "window": list(step.window),
+            "relator": step.relator_word.render(step.base.names),
+            "stable_letter": step.stable_letter,
+        }
+    out["children"] = [_node_payload(ch) for ch in node.children]
+    return out
+
+
 def _cmd_hierarchy(args):
     pres = load_presentation(args.file)
     tree = build_hierarchy(pres, max_depth=args.max_depth)
-
-    def node_payload(node):
-        out = {
-            "presentation": {
-                "gens": node.presentation.names,
-                "rels": [w.render(node.presentation.names)
-                         for w in node.presentation.relators],
-            },
-            "status": node.status,
-            "edge": node.edge_kind,
-        }
-        if node.status == "free":
-            out["free_rank"] = node.free_rank
-        if node.status == "cyclic":
-            out["cyclic_order"] = node.cyclic_order
-        if node.edge_kind == "hnn":
-            step = node.edge_data
-            out["hnn"] = {
-                "phi": list(step.phi.values),
-                "window": list(step.window),
-                "relator": step.relator_word.render(step.base.names),
-                "stable_letter": step.stable_letter,
-            }
-        out["children"] = [node_payload(ch) for ch in node.children]
-        return out
-
-    return {"tree": node_payload(tree.root), "depth": tree.depth(),
+    return {"tree": _node_payload(tree.root), "depth": tree.depth(),
             "leaves": [n.status for n in tree.leaves()]}, tree.render()
 
 
@@ -245,7 +245,7 @@ def _cmd_engulf(args):
                 continue
             word_text, _, coeff = chunk.rpartition(":")
             w = parse_word(word_text.strip(), pres.names)
-            terms.append((q.image(w), _integer(coeff, "coefficient")))
+            terms.append((q.apply(w), _integer(coeff, "coefficient")))
         oracle = q.oracle
         m = GroupRingElement(oracle, domain, terms)
     report = engulfing_search_finite(m, side=args.side)
@@ -267,7 +267,7 @@ def _cmd_weinbaum(args):
     if not 0 <= args.relator < len(pres.relators):
         raise InputError(f"relator index {args.relator} out of range")
     w = pres.relators[args.relator]
-    scan = weinbaum_scan(w, pres, q)
+    scan = weinbaum_scan(w, q)
     statuses = [{"subword": s.subword.render(pres.names), "status": s.status,
                  "image": s.image} for s in scan]
     certified = sum(1 for s in scan if s.status == "NontrivialCertified")

@@ -1,7 +1,8 @@
 """Finite-cover chain complexes, exact homology and subword scans.
 
 Pushing a presentation's derivative matrix through the regular representation
-of a finite quotient gives the integer boundary maps of the corresponding
+of a finite quotient, a :class:`~onerel.foxcalc.QuotientMap` whose oracle
+enumerates its elements, gives the integer boundary maps of the corresponding
 cover of the presentation complex.  Chains are row vectors acted on from the
 right, so the composite ``D2 @ D1`` must vanish.  ``D2`` is kept as sparse
 rows, a handful of +-1 entries each, read straight off the derivative matrix;
@@ -28,27 +29,6 @@ from .presentations import Presentation
 from .words import Word, proper_subwords
 
 
-class FiniteQuotient:
-    """Permutation images of the generators, with the generated group."""
-
-    def __init__(self, presentation: Presentation, images=None):
-        self.presentation = presentation
-        self.map = QuotientMap.permutation(presentation, images)
-        self.oracle = self.map.oracle
-        self.degree = self.oracle.degree
-        self.elements = self.oracle.elements()
-        self.order = len(self.elements)
-        self.is_transitive = self.oracle.is_transitive()
-
-    @classmethod
-    def trivial(cls, presentation):
-        return cls(presentation,
-                   {name: (0,) for name in presentation.names})
-
-    def image(self, w: Word):
-        return self.map.apply(w)
-
-
 @dataclass
 class CoverComplex:
     """The cover's boundary maps: ``d2`` as sparse rows, ``d1`` as the skeleton.
@@ -60,7 +40,7 @@ class CoverComplex:
     """
 
     presentation: Presentation
-    quotient: FiniteQuotient
+    quotient: QuotientMap
     domain: Domain
     rows: list                # the rows of d2
     skeleton: Graph           # the 1-skeleton; its edges are the rows of d1
@@ -101,7 +81,7 @@ class CoverComplex:
         return "\n".join(out)
 
 
-def build_cover_complex(p: Presentation, q: FiniteQuotient,
+def build_cover_complex(p: Presentation, q: QuotientMap,
                         domain: Domain = ZZ) -> CoverComplex:
     """Boundary maps of the cover of the presentation complex at ``q``.
 
@@ -109,11 +89,13 @@ def build_cover_complex(p: Presentation, q: FiniteQuotient,
     ``{j * |Q| + idx(g * h): c for (h, c) in J[i][j]}``, the right-regular
     image of ``J[i][j]``.  The edge ``(s, g)`` runs from vertex ``g`` to vertex
     ``g * phi(s)`` (a loop has zero boundary).  Every row's boundary is
-    verified to vanish exactly.
+    verified to vanish exactly.  A quotient whose oracle cannot enumerate its
+    elements, such as Z^k or a group above the order cap, is refused with
+    :class:`~onerel.errors.UnsupportedError`.
     """
-    jac = jacobian(p, q.map, ZZ)
-    elements = q.elements
     oracle = q.oracle
+    elements = oracle.elements()
+    jac = jacobian(p, q, ZZ)
     n = len(elements)
     index = {oracle.key(g): k for k, g in enumerate(elements)}
     shifts = {}
@@ -132,7 +114,7 @@ def build_cover_complex(p: Presentation, q: FiniteQuotient,
         rows += [{base + images[k]: c for base, images, c in terms} for k in range(n)]
 
     edges = [(k, head) for s in range(p.rank)
-             for k, head in enumerate(shift(q.image(Word([(s, 1)]))))]
+             for k, head in enumerate(shift(q.apply(Word([(s, 1)]))))]
     complex_ = CoverComplex(presentation=p, quotient=q, domain=domain, rows=rows,
                             skeleton=Graph(range(n), edges))
     if not complex_.composite_is_zero():
@@ -228,7 +210,7 @@ class SubwordStatus:
         return f"{self.subword.render(names)}: {self.status} (image {self.image})"
 
 
-def weinbaum_scan(w: Word, p: Presentation, q: FiniteQuotient) -> list:
+def weinbaum_scan(w: Word, q: QuotientMap) -> list:
     """Certify proper cyclic subwords nontrivial via their quotient images.
 
     A non-identity image proves the subword avoids the relators' normal
@@ -237,7 +219,7 @@ def weinbaum_scan(w: Word, p: Presentation, q: FiniteQuotient) -> list:
     out = []
     ident = q.oracle.key(q.oracle.identity())
     for sub in proper_subwords(w, cyclic=True):
-        img = q.image(sub)
+        img = q.apply(sub)
         status = "Unknown" if q.oracle.key(img) == ident else "NontrivialCertified"
         out.append(SubwordStatus(subword=sub, status=status,
                                  image=q.oracle.render(img)))

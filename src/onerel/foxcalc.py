@@ -18,22 +18,10 @@ from .presentations import Presentation
 from .words import Word
 
 
-_DERIVATIVE_CACHE: dict = {}
-
-
 def _word_derivative(word: Word, gen_index: int):
-    """Terms ``(prefix, +-1)`` of a word's derivative.
-
-    They depend on no oracle, so one cache keyed by the letters serves every
-    alphabet.
-    """
-    key = (word.letters, gen_index)
-    terms = _DERIVATIVE_CACHE.get(key)
-    if terms is None:
-        terms = tuple((word.prefix(k), 1) if s > 0 else (word.prefix(k + 1), -1)
-                      for k, (i, s) in enumerate(word.letters) if i == gen_index)
-        _DERIVATIVE_CACHE[key] = terms
-    return terms
+    """Terms ``(prefix, +-1)`` of a word's derivative; they depend on no oracle."""
+    return [(word.prefix(k), 1) if s > 0 else (word.prefix(k + 1), -1)
+            for k, (i, s) in enumerate(word.letters) if i == gen_index]
 
 
 def fox_derivative(x, gen_index: int,

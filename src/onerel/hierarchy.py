@@ -216,8 +216,9 @@ def number_lemma_oracle(a, b, max_pairs, cap=8) -> dict:
         r = v % mod
         return range(r, bound, mod)
 
-    def extend(seq):
-        # seq has odd length: ends at an i-position
+    stack = [[0]]           # sequences of odd length, ending at an i-position
+    while stack:
+        seq = stack.pop()
         pairs = (len(seq) - 1) // 2
         if pairs and seq[-1] == 0:
             counts["sequences"] += 1
@@ -225,12 +226,10 @@ def number_lemma_oracle(a, b, max_pairs, cap=8) -> dict:
             if total != 0:
                 counts["counterexamples"] += 1
         if pairs == max_pairs:
-            return
+            continue
         for j in successors(seq[-1], b):
             for i_next in successors(j, a):
-                extend(seq + [j, i_next])
-
-    extend([0])
+                stack.append(seq + [j, i_next])
     return counts
 
 
@@ -483,56 +482,77 @@ class HierarchyNode:
 class HierarchyTree:
     root: HierarchyNode
 
+    def nodes(self):
+        """Every node in preorder: a node, then its children's subtrees in order."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
     def leaves(self):
-        out = []
-
-        def walk(node):
-            if node.is_leaf():
-                out.append(node)
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
-        return out
+        return [node for node in self.nodes() if node.is_leaf()]
 
     def depth(self):
-        best = 0
-
-        def walk(node, d):
-            nonlocal best
-            best = max(best, d)
-            for child in node.children:
-                walk(child, d + 1)
-
-        walk(self.root, 0)
-        return best
+        return max(node.depth for node in self.nodes())
 
     def hnn_edges(self):
-        out = []
-
-        def walk(node):
-            for child in node.children:
-                if child.edge_kind == "hnn":
-                    out.append((node, child))
-                walk(child)
-
-        walk(self.root)
-        return out
+        return [(node, child) for node in self.nodes() for child in node.children
+                if child.edge_kind == "hnn"]
 
     def render(self):
         lines = []
-
-        def walk(node, indent):
-            prefix = "  " * indent
+        for node in self.nodes():
+            prefix = "  " * node.depth
             via = f"[{node.edge_kind}] " if node.edge_kind else ""
             lines.append(f"{prefix}{via}{node.label()}")
             if node.edge_kind == "hnn" and isinstance(node.edge_data, HNNStep):
                 lines.append(node.edge_data.render(prefix + "    "))
-            for child in node.children:
-                walk(child, indent + 1)
-
-        walk(self.root, 0)
         return "\n".join(lines)
+
+
+def _split(node: HierarchyNode, max_depth):
+    """Mark ``node`` as a leaf, or return its child's (presentation, edge kind, data)."""
+    pres = node.presentation
+    w = pres.relators[0]
+    if not w:
+        node.status = "free"
+        node.free_rank = pres.rank
+        return None
+    once = [i for i in range(pres.rank) if w.occurrence_count(i) == 1]
+    if once:
+        node.status = "free"
+        node.free_rank = pres.rank - 1
+        node.note = f"generator {pres.names[once[0]]} occurs once; Tietze removal"
+        return None
+
+    used = w.generators_used()
+    if len(used) < pres.rank:
+        removed = [pres.names[i] for i in range(pres.rank) if i not in used]
+        remap = {old: new for new, old in enumerate(used)}
+        relator = Word([(remap[i], s) for i, s in w.letters])
+        sub = Presentation([pres.names[i] for i in used], [relator])
+        return sub, "restrict", {"removed": removed, "free_rank_split_off": len(removed)}
+
+    root_word, power = is_proper_power(w)
+    if len(root_word) == 1:
+        node.status = "cyclic"
+        node.cyclic_order = power
+        return None
+
+    if node.depth >= max_depth:
+        node.status = "truncated"
+        node.note = f"depth limit {max_depth} reached"
+        return None
+
+    try:
+        phi = find_epimorphism(pres)
+    except NoEpimorphism as exc:
+        node.status = "stuck"
+        node.note = str(exc)
+        return None
+    step = hnn_step(pres, phi)
+    return step.base, "hnn", step
 
 
 def build_hierarchy(p: Presentation, max_depth=None) -> HierarchyTree:
@@ -540,8 +560,9 @@ def build_hierarchy(p: Presentation, max_depth=None) -> HierarchyTree:
 
     Leaves are free groups (empty relator, or a generator occurring exactly
     once, removable by a Tietze move) or finite cyclic groups (relator a
-    proper power of a single letter).  Relator length strictly decreases
-    along HNN edges, so the tree has depth at most the relator length.
+    proper power of a single letter).  Every internal node has one child.
+    Relator length strictly decreases along HNN edges, so the tree has depth
+    at most the relator length.
     """
     if len(p.relators) != 1:
         raise InputError("hierarchies are built from one-relator presentations")
@@ -549,53 +570,11 @@ def build_hierarchy(p: Presentation, max_depth=None) -> HierarchyTree:
         max_depth = len(p.relators[0]) + 2
     if max_depth < 1:
         raise InputError("max_depth must be at least 1")
-
-    def expand(pres, depth, edge_kind, edge_data):
-        w = pres.relators[0]
-        node = HierarchyNode(presentation=pres, status="internal", depth=depth,
-                             edge_kind=edge_kind, edge_data=edge_data)
-        if not w:
-            node.status = "free"
-            node.free_rank = pres.rank
-            return node
-        once = [i for i in range(pres.rank) if w.occurrence_count(i) == 1]
-        if once:
-            node.status = "free"
-            node.free_rank = pres.rank - 1
-            node.note = f"generator {pres.names[once[0]]} occurs once; Tietze removal"
-            return node
-
-        used = w.generators_used()
-        if len(used) < pres.rank:
-            removed = [pres.names[i] for i in range(pres.rank) if i not in used]
-            remap = {old: new for new, old in enumerate(used)}
-            relator = Word([(remap[i], s) for i, s in w.letters])
-            sub = Presentation([pres.names[i] for i in used], [relator])
-            child = expand(sub, depth + 1, "restrict",
-                           {"removed": removed, "free_rank_split_off": len(removed)})
-            node.children.append(child)
-            return node
-
-        root_word, power = is_proper_power(w)
-        if len(root_word) == 1:
-            node.status = "cyclic"
-            node.cyclic_order = power
-            return node
-
-        if depth >= max_depth:
-            node.status = "truncated"
-            node.note = f"depth limit {max_depth} reached"
-            return node
-
-        try:
-            phi = find_epimorphism(pres)
-        except NoEpimorphism as exc:
-            node.status = "stuck"
-            node.note = str(exc)
-            return node
-        step = hnn_step(pres, phi)
-        child = expand(step.base, depth + 1, "hnn", step)
-        node.children.append(child)
-        return node
-
-    return HierarchyTree(root=expand(p, 0, None, None))
+    root = node = HierarchyNode(presentation=p, status="internal", depth=0)
+    while (child := _split(node, max_depth)) is not None:
+        pres, edge_kind, edge_data = child
+        node.children.append(HierarchyNode(presentation=pres, status="internal",
+                                           depth=node.depth + 1, edge_kind=edge_kind,
+                                           edge_data=edge_data))
+        node = node.children[0]
+    return HierarchyTree(root=root)

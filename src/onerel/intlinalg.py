@@ -1,4 +1,4 @@
-"""Exact linear algebra: one sparse elimination kernel over Z and fields.
+"""Exact linear algebra: unit-pivot elimination over Z, one echelon over fields.
 
 A matrix is a list of rows, each a dense list or a sparse dict
 ``{column: value}``.  Conventions are row-centric throughout: lattices are
@@ -6,22 +6,25 @@ spanned by rows, kernels are left kernels ``{x : x @ M = 0}``, matching chain
 complexes that act on row vectors from the right.  Integer routines use
 Python's arbitrary-precision ints; field routines take a
 :class:`~onerel.domains.Domain` with ``is_field`` set and work on plain ints
-mod p over F_p and on ``Fraction`` over Q.
+mod p over F_p, and over Q on ints where a value is integral and on
+``Fraction`` elsewhere.
 
-One kernel, :func:`_eliminate`, takes pivots in Markowitz order.
-Over Z it takes only +-1 pivots: such a row-and-column step is unimodular
-(a reduction in the sense of Kaczynski, Mrozek and Slusarek, Comput. Math.
-Appl. 35, 1998), so each contributes a Smith invariant 1 and leaves the
-invariants of the rest alone, as in the elimination-based Smith form of
-Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001).  The core left
-without a unit entry goes to the dense :func:`snf_invariants`.  Over a field
-every nonzero entry is a pivot.  :func:`nullspace` needs the canonical
-reduced row echelon form instead, so it eliminates in column order.
+Over Z, :func:`_eliminate` takes only +-1 pivots, in Markowitz order: such a
+row-and-column step is unimodular (a reduction in the sense of Kaczynski,
+Mrozek and Slusarek, Comput. Math. Appl. 35, 1998), so each contributes a
+Smith invariant 1 and leaves the invariants of the rest alone, as in the
+elimination-based Smith form of Dumas, Saunders and Villard (J. Symbolic
+Comput. 32, 2001).  The core left without a unit entry goes to the dense
+:func:`snf_invariants`.  Over a field every route goes through one sparse
+row echelon form, :func:`_echelon`, which eliminates in column order: its
+length is the rank, and :func:`nullspace` back-substitutes it into the
+canonical reduced form.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 
 from .errors import InputError
 
@@ -186,12 +189,23 @@ def _sparse(rows, coerce=int):
     return out
 
 
-def _modulus(field):
-    """p for F_p, 0 for Q."""
-    return getattr(field, "p", 0)
+def _rational(x):
+    """``x`` over Q: an int when it is integral, otherwise a ``Fraction``."""
+    v = Fraction(x)
+    return v.numerator if v.denominator == 1 else v
 
 
-def _subtract(row, f, pivot, p):
+def _field_rows(mat, field):
+    """Sparse rows over ``field`` and its modulus, p for F_p and 0 for Q.
+
+    Over Q integral values stay ints, so elimination by +-1 pivots, the
+    common case on covers, builds no ``Fraction``.
+    """
+    p = getattr(field, "p", 0)
+    return _sparse(mat, field.coerce if p else _rational), p
+
+
+def _subtract(row, f, pivot, p=0):
     """``row -= f * pivot`` in place, mod p when p > 0.
 
     Returns the columns whose entry appeared or vanished.  No product
@@ -212,18 +226,16 @@ def _subtract(row, f, pivot, p):
     return flipped
 
 
-def _eliminate(rows, p=0, units=False):
-    """Pivot ``rows`` (sparse, modified in place) away; returns the pivot count.
+def _eliminate(rows):
+    """Pivot the +-1 entries of integer ``rows`` (sparse, modified in place) away.
 
-    Pivots follow Markowitz's rule, least ``(row nnz - 1) * (column nnz - 1)``,
-    in its restricted form: the shortest row that holds an admissible entry
-    comes off a queue of rows bucketed by length, and of its admissible
-    entries the one in the shortest column is taken.  With ``units`` only +-1
-    entries are admissible (over Z); otherwise every nonzero entry is, over
-    F_p when p > 0 and over Q on ``Fraction`` values when p == 0.  A pivot
+    Returns the pivot count.  Pivots follow Markowitz's rule, least
+    ``(row nnz - 1) * (column nnz - 1)``, in its restricted form: the shortest
+    row that holds a +-1 entry comes off a queue of rows bucketed by length,
+    and of its +-1 entries the one in the shortest column is taken.  A pivot
     clears its column from the other rows, each of which is queued again, and
-    then leaves with its row and column: the rows left nonempty hold no
-    admissible entry.
+    then leaves with its row and column: the rows left nonempty hold no +-1
+    entry.
     """
     cols = defaultdict(set)
     waiting = defaultdict(list)     # row length -> rows queued at that length
@@ -241,18 +253,16 @@ def _eliminate(rows, p=0, units=False):
         row = rows[i]
         if len(row) != width:
             continue        # changed since it was queued; queued again then
-        admissible = [j for j, x in row.items() if not units or x == 1 or x == -1]
-        if not admissible:
+        units = [j for j, x in row.items() if x == 1 or x == -1]
+        if not units:
             continue
-        j = min(admissible, key=lambda j: len(cols[j]))
-        u = row[j]
-        inv = u if units else pow(u, -1, p) if p else 1 / u
+        j = min(units, key=lambda j: len(cols[j]))
+        u = row[j]          # its own inverse
         for jj in row:
             cols[jj].discard(i)
         for k in list(cols[j]):
             other = rows[k]
-            f = other[j] * inv % p if p else other[j] * inv
-            for jj in _subtract(other, f, row, p):
+            for jj in _subtract(other, other[j] * u, row):
                 cols[jj].symmetric_difference_update((k,))   # k joins or leaves
             if other:
                 waiting[len(other)].append(k)
@@ -264,7 +274,7 @@ def _eliminate(rows, p=0, units=False):
 def _invariants(rows):
     """Nonzero Smith invariants of an integer matrix: unit pivots, then the core."""
     rows = _sparse(rows)
-    ones = [1] * _eliminate(rows, units=True)
+    ones = [1] * _eliminate(rows)
     core = [row for row in rows if row]
     if not core:
         return ones
@@ -282,7 +292,8 @@ def quotient_invariants(ambient_rank, relation_rows):
 
 
 def field_rank(mat, field):
-    return _eliminate(_sparse(mat, field.coerce), _modulus(field))
+    """Rank over a field: the number of pivots of a row echelon form."""
+    return len(_echelon(*_field_rows(mat, field)))
 
 
 def spans_saturated(rows, rank, domain):
@@ -297,36 +308,48 @@ def spans_saturated(rows, rank, domain):
     return _invariants(rows) == [1] * rank
 
 
-def _rref(rows, width, p):
-    """Reduced row echelon form of sparse ``rows``: ``{pivot column: row}``.
+def _echelon(rows, p):
+    """Row echelon form of sparse ``rows``: ``{pivot column: row}``.
 
-    Columns ``0 .. width - 1`` are taken in order; of the rows leading at a
-    column the sparsest becomes its pivot, scaled to 1 there, and the others
-    move on to their next leading column.  Back-substitution from the last
-    pivot then clears every pivot column above its pivot.  The result is the
-    unique reduced form of the row space, whatever rows were chosen as pivots.
+    Columns are taken in increasing order; of the rows leading at a column the
+    sparsest becomes its pivot, scaled to 1 there, and the others move on to
+    their next leading column.  The rows are modified in place.
     """
     waiting = defaultdict(list)      # leading column -> rows
+    width = 0
     for row in rows:
         if row:
             waiting[min(row)].append(row)
-    reduced = {}
+            width = max(width, max(row) + 1)
+    echelon = {}
     for c in range(width):
         if c not in waiting:
             continue
         group = sorted(waiting.pop(c), key=len)
-        inv = pow(group[0][c], -1, p) if p else 1 / group[0][c]
+        u = group[0][c]
+        # over Q a unit +-1 is its own inverse, and an integral row stays integral
+        inv = pow(u, -1, p) if p else u if u in (1, -1) else 1 / Fraction(u)
         pivot = {j: x * inv % p if p else x * inv for j, x in group[0].items()}
-        reduced[c] = pivot
+        echelon[c] = pivot
         for row in group[1:]:
             _subtract(row, row[c], pivot, p)
             if row:
                 waiting[min(row)].append(row)
-    for c in sorted(reduced, reverse=True):
-        row = reduced[c]
-        for q in [j for j in row if j != c and j in reduced]:
-            _subtract(row, row[q], reduced[q], p)
-    return reduced
+    return echelon
+
+
+def _rref(echelon, p):
+    """Reduce a row echelon form from :func:`_echelon` in place.
+
+    Back-substitution from the last pivot clears every pivot column above its
+    pivot.  The result is the unique reduced form of the row space, whatever
+    rows were chosen as pivots.
+    """
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        for q in [j for j in row if j != c and j in echelon]:
+            _subtract(row, row[q], echelon[q], p)
+    return echelon
 
 
 def nullspace(mat, field):
@@ -338,16 +361,17 @@ def nullspace(mat, field):
     does not depend on the elimination order.
     """
     n = len(mat)
+    rows, p = _field_rows(mat, field)
     equations = defaultdict(dict)
-    for i, row in enumerate(_sparse(mat, field.coerce)):
+    for i, row in enumerate(rows):
         for j, x in row.items():
             equations[j][i] = x
-    reduced = _rref(equations.values(), n, _modulus(field))
+    reduced = _rref(_echelon(equations.values(), p), p)
     basis = {c: [field.zero] * n for c in range(n) if c not in reduced}
     for pc, row in reduced.items():
         for fc, x in row.items():
             if fc != pc:
-                basis[fc][pc] = field.neg(x)
+                basis[fc][pc] = field.coerce(-x)
     for fc, vec in basis.items():
         vec[fc] = field.one
     return list(basis.values())

@@ -10,8 +10,7 @@ import random
 import time
 
 from onerel.bsverify import bs_representation, commutator, verify_qn_identity
-from onerel.covers import (FiniteQuotient, build_cover_complex,
-                           generation_check, homology)
+from onerel.covers import build_cover_complex, generation_check, homology
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
 from onerel.foxcalc import QuotientMap, fundamental_identity_check, \
     resolution_complex
@@ -232,11 +231,11 @@ def test_homology_instances_cyclic_and_torus():
     """<a | a^n> gives H1 = Z/n for n in 2..12; the torus gives Z^2."""
     for n in range(2, 13):
         p = parse_presentation(f"gens: a\nrels: a^{n}")
-        h = homology(build_cover_complex(p, FiniteQuotient.trivial(p)))
+        h = homology(build_cover_complex(p, QuotientMap.trivial(p)))
         assert (h.h0_free_rank, h.h0_torsion) == (1, [])
         assert (h.h1_free_rank, h.h1_torsion) == (0, [n])
     p = parse_presentation("gens: a, b\nrels: [a, b]")
-    h = homology(build_cover_complex(p, FiniteQuotient.trivial(p)))
+    h = homology(build_cover_complex(p, QuotientMap.trivial(p)))
     assert (h.h1_free_rank, h.h1_torsion) == (2, [])
     _announce("homology instances: cyclic torsion and torus")
 
@@ -260,23 +259,24 @@ def test_homology_instance_circle_complex_as_stated():
     the argument rests on rather than by a kernel computation.
     """
     p = parse_presentation("gens: a, b\nrels: a*b^-1")
-    quotients = [FiniteQuotient.trivial(p)]
+    quotients = [QuotientMap.trivial(p)]
     for n in range(2, 7):
         cycle = tuple((i + 1) % n for i in range(n))
-        quotients.append(FiniteQuotient(p, {"a": cycle, "b": cycle}))
-    assert [q.order for q in quotients] == [1, 2, 3, 4, 5, 6]
-    for q in quotients:
+        quotients.append(QuotientMap.permutation(p, {"a": cycle, "b": cycle}))
+    orders = [len(q.oracle.elements()) for q in quotients]
+    assert orders == [1, 2, 3, 4, 5, 6]
+    for q, order in zip(quotients, orders):
         c = build_cover_complex(p, q)
         h = homology(c)
-        assert (h.h0_free_rank, h.h0_torsion) == (1, []), (q.order, h.render())
+        assert (h.h0_free_rank, h.h0_torsion) == (1, []), (order, h.render())
         assert (h.h1_free_rank, h.h1_torsion) == (1, []), (
-            f"order {q.order}: computed {h.render()}, but a finite cover of a "
+            f"order {order}: computed {h.render()}, but a finite cover of a "
             "circle is a circle, so H1 = Z")
-        assert not generation_check(c, range(len(c.d2))), q.order
+        assert not generation_check(c, range(len(c.d2))), order
         for domain in (QQ, PrimeFieldDomain(2), PrimeFieldDomain(3)):
             hf = homology(build_cover_complex(p, q, domain))
             assert (hf.h0_free_rank, hf.h1_free_rank) == (1, 1), \
-                (q.order, domain.name, hf.render())
+                (order, domain.name, hf.render())
 
     r = resolution_complex(p, QuotientMap.to_abelian(p, {0: 1, 1: 1}), ZZ)
     assert r.d2.render_rows() == [["1", "-1"]]

@@ -230,6 +230,29 @@ class TestDispatch:
         assert status == 1 and captured.out == ""
         assert json.loads(captured.err)["error"] == error
 
+    def test_weinbaum_answers_above_the_order_cap(self, tmp_path):
+        # the scan needs only the subwords' images, not the group's elements
+        powers = tmp_path / "powers.grp"
+        powers.write_text("gens: a, b\nrels: a^2 ; b^12\n")
+        status, report, text = dispatch(
+            ["weinbaum", "--file", str(powers), "--quotient", self.S12, "--relator", "1"])
+        assert status == 0
+        assert report["results"]["certified"] == report["results"]["total"] == 11
+        assert text.endswith("certified 11 of 11")
+
+    @pytest.mark.parametrize("argv", [
+        ["complex", "--ring", "4"],
+        ["engulf", "--terms", "a:1", "--field", "4"],
+    ])
+    def test_input_errors_come_before_the_order_cap(self, tmp_path, capsys, argv):
+        # the cap is met only when the cover or the engulf system enumerates
+        powers = tmp_path / "powers.grp"
+        powers.write_text("gens: a, b\nrels: a^2 ; b^12\n")
+        status = main(argv + ["--file", str(powers), "--quotient", self.S12, "--json"])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert json.loads(captured.err)["error"] == "unknown coefficient domain '4'"
+
     @pytest.mark.parametrize("ring", ["Z", "2"])
     def test_order_5040_trefoil_cover(self, monkeypatch, ring):
         monkeypatch.chdir(ROOT)

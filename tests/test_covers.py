@@ -5,11 +5,10 @@ from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
-from onerel.covers import (FiniteQuotient, build_cover_complex, generation_check,
-                           homology, weinbaum_scan)
+from onerel.covers import build_cover_complex, generation_check, homology, weinbaum_scan
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
 from onerel.errors import InputError, UnsupportedError
-from onerel.foxcalc import jacobian
+from onerel.foxcalc import QuotientMap, jacobian
 from onerel.graphs import Graph
 from onerel.groupring import GroupRingElement
 from onerel.oracles import parse_permutation
@@ -29,25 +28,25 @@ def twelve_cycle_quotient(presentation, a_power, b_power):
             img = tuple(cyc[i] for i in img)
         return img
 
-    return FiniteQuotient(presentation, {"a": power(a_power), "b": power(b_power)})
+    return QuotientMap.permutation(presentation, {"a": power(a_power), "b": power(b_power)})
 
 
 class TestBuildCoverComplex:
     def test_power_relator_trivial(self):
         p = parse_presentation("gens: a\nrels: a^7")
-        c = build_cover_complex(p, FiniteQuotient.trivial(p))
+        c = build_cover_complex(p, QuotientMap.trivial(p))
         assert c.d2 == [[7]]
         assert c.d1 == [[0]]
 
     def test_torus_trivial(self):
         p = parse_presentation("gens: a, b\nrels: [a, b]")
-        c = build_cover_complex(p, FiniteQuotient.trivial(p))
+        c = build_cover_complex(p, QuotientMap.trivial(p))
         assert c.d2 == [[0, 0]]
         assert c.d1 == [[0], [0]]
 
     def test_a_squared_at_z2(self):
         p = parse_presentation("gens: a\nrels: a^2\nquotient: a -> (1 2)")
-        c = build_cover_complex(p, FiniteQuotient(p))
+        c = build_cover_complex(p, QuotientMap.permutation(p))
         assert c.d2 == [[1, 1], [1, 1]]
         assert sorted(map(sorted, c.d1)) == [[-1, 1], [-1, 1]]
         assert c.composite_is_zero()
@@ -56,15 +55,21 @@ class TestBuildCoverComplex:
         p = parse_presentation("gens: a, b\nrels: a^2 ; b^3")
         images = {"a": parse_permutation("(1 2)", 4), "b": parse_permutation("(2 3 4)")}
         monkeypatch.setattr("onerel.oracles.MAX_QUOTIENT_ORDER", 24)
-        assert FiniteQuotient(p, images).order == 24
+        assert len(QuotientMap.permutation(p, images).oracle.elements()) == 24
         monkeypatch.setattr("onerel.oracles.MAX_QUOTIENT_ORDER", 23)
         with pytest.raises(UnsupportedError):
-            FiniteQuotient(p, images)
+            QuotientMap.permutation(p, images).oracle.elements()
+
+    def test_abelian_quotient_is_refused(self):
+        # Z^2 cannot enumerate its elements, so it has no finite cover
+        p = parse_presentation("gens: a, b\nrels: [a, b]")
+        with pytest.raises(UnsupportedError):
+            build_cover_complex(p, QuotientMap.abelianization(p))
 
     def test_relator_not_killed(self):
         p = parse_presentation("gens: a\nrels: a^3")
         with pytest.raises(InputError):
-            FiniteQuotient(p, {"a": parse_permutation("(1 2)")})
+            QuotientMap.permutation(p, {"a": parse_permutation("(1 2)")})
 
     def test_composites_vanish_on_random_inputs(self, rng):
         perms3 = ["()", "(1 2)", "(1 2 3)", "(1 3 2)", "(1 3)", "(2 3)"]
@@ -77,7 +82,7 @@ class TestBuildCoverComplex:
             p = Presentation(names, rels)
             images = {g: parse_permutation(rng.choice(perms3), 3) for g in names}
             try:
-                q = FiniteQuotient(p, images)
+                q = QuotientMap.permutation(p, images)
             except InputError:
                 continue
             c = build_cover_complex(p, q)
@@ -88,17 +93,17 @@ class TestBuildCoverComplex:
         """Sparse d2 against dense right-regular blocks of the pushed Jacobian."""
         for c in fixed_and_random_covers(rng):
             q = c.quotient
-            block = _regular_blocks(q.elements, q.oracle)
-            jac = jacobian(c.presentation, q.map, ZZ)
+            block = _regular_blocks(q.oracle.elements(), q.oracle)
+            jac = jacobian(c.presentation, q, ZZ)
             expected = []
             for i in range(jac.nrows):
                 blocks = [block(jac.entry(i, j)) for j in range(jac.ncols)]
-                expected += [[x for b in blocks for x in b[k]] for k in range(q.order)]
+                expected += [[x for b in blocks for x in b[k]] for k in range(len(q.oracle.elements()))]
             assert c.d2 == expected
 
     def test_triplet_export(self):
         p = parse_presentation("gens: a\nrels: a^2\nquotient: a -> (1 2)")
-        c = build_cover_complex(p, FiniteQuotient(p))
+        c = build_cover_complex(p, QuotientMap.permutation(p))
         text = c.to_triplet_text()
         assert text.splitlines()[0] == "matrix d2 2 2"
         assert "matrix d1 2 2" in text
@@ -108,13 +113,13 @@ class TestHomology:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_cyclic_torsion(self, n):
         p = parse_presentation(f"gens: a\nrels: a^{n}")
-        h = homology(build_cover_complex(p, FiniteQuotient.trivial(p)))
+        h = homology(build_cover_complex(p, QuotientMap.trivial(p)))
         assert h.h0_free_rank == 1 and h.h0_torsion == []
         assert h.h1_free_rank == 0 and h.h1_torsion == [n]
 
     def test_torus(self):
         p = parse_presentation("gens: a, b\nrels: [a, b]")
-        h = homology(build_cover_complex(p, FiniteQuotient.trivial(p)))
+        h = homology(build_cover_complex(p, QuotientMap.trivial(p)))
         assert (h.h1_free_rank, h.h1_torsion) == (2, [])
         assert (h.h0_free_rank, h.h0_torsion) == (1, [])
 
@@ -122,24 +127,24 @@ class TestHomology:
         # the presentation complex of <a,b | a*b^-1> deformation retracts to
         # a circle, so every finite cover has first homology Z
         p = parse_presentation("gens: a, b\nrels: a*b^-1")
-        h = homology(build_cover_complex(p, FiniteQuotient.trivial(p)))
+        h = homology(build_cover_complex(p, QuotientMap.trivial(p)))
         assert (h.h1_free_rank, h.h1_torsion) == (1, [])
-        q = FiniteQuotient(p, {"a": parse_permutation("(1 2)"),
+        q = QuotientMap.permutation(p, {"a": parse_permutation("(1 2)"),
                                "b": parse_permutation("(1 2)")})
         h2 = homology(build_cover_complex(p, q))
         assert (h2.h1_free_rank, h2.h1_torsion) == (1, [])
 
     def test_sphere_cover(self):
         p = parse_presentation("gens: a\nrels: a^2\nquotient: a -> (1 2)")
-        h = homology(build_cover_complex(p, FiniteQuotient(p)))
+        h = homology(build_cover_complex(p, QuotientMap.permutation(p)))
         assert (h.h1_free_rank, h.h1_torsion) == (0, [])
 
     def test_field_dimensions(self):
         p = parse_presentation("gens: a\nrels: a^6")
-        c = build_cover_complex(p, FiniteQuotient.trivial(p), QQ)
+        c = build_cover_complex(p, QuotientMap.trivial(p), QQ)
         h = homology(c)
         assert h.h1_free_rank == 0 and h.h1_torsion == []
-        c3 = build_cover_complex(p, FiniteQuotient.trivial(p), PrimeFieldDomain(3))
+        c3 = build_cover_complex(p, QuotientMap.trivial(p), PrimeFieldDomain(3))
         h3 = homology(c3)
         assert h3.h1_free_rank == 1  # 6 = 0 in F_3
 
@@ -174,13 +179,13 @@ class TestHomology:
 class TestGenerationCheck:
     def test_full_rows_when_h1_vanishes(self):
         p = parse_presentation("gens: a\nrels: a^2\nquotient: a -> (1 2)")
-        c = build_cover_complex(p, FiniteQuotient(p))
+        c = build_cover_complex(p, QuotientMap.permutation(p))
         assert homology(c).h1_free_rank == 0 and homology(c).h1_torsion == []
         assert generation_check(c, range(len(c.d2)))
 
     def test_single_row_insufficient(self):
         p = parse_presentation("gens: a, b\nrels: a ; b")
-        c = build_cover_complex(p, FiniteQuotient.trivial(p))
+        c = build_cover_complex(p, QuotientMap.trivial(p))
         assert generation_check(c, range(len(c.d2)))
         assert not generation_check(c, [0])
 
@@ -188,19 +193,19 @@ class TestGenerationCheck:
         # the kernel of d1 for <a | > at the trivial quotient is all of Z,
         # so the empty row set cannot generate it
         p = parse_presentation("gens: a")
-        c = build_cover_complex(p, FiniteQuotient.trivial(p))
+        c = build_cover_complex(p, QuotientMap.trivial(p))
         assert not generation_check(c, [])
 
     def test_empty_rows_with_zero_kernel_over_field(self):
         p = parse_presentation("gens: a")
-        q = FiniteQuotient(p, {"a": parse_permutation("(1 2)")})
+        q = QuotientMap.permutation(p, {"a": parse_permutation("(1 2)")})
         c = build_cover_complex(p, q, QQ)
         # over Q the kernel of d1 is spanned by the norm vector: rank 1
         assert not generation_check(c, [])
 
     def test_over_field_rank_comparison(self):
         p = parse_presentation("gens: a\nrels: a^2\nquotient: a -> (1 2)")
-        c = build_cover_complex(p, FiniteQuotient(p), QQ)
+        c = build_cover_complex(p, QuotientMap.permutation(p), QQ)
         assert generation_check(c, range(len(c.d2)))
         assert not generation_check(c, [])
 
@@ -224,17 +229,17 @@ def random_killed_cover(rng):
     """Two generators on at most 4 points; relators u^k with k the order of u."""
     degree = rng.randrange(2, 5)
     images = {g: tuple(rng.sample(range(degree), degree)) for g in ("a", "b")}
-    free = FiniteQuotient(Presentation(["a", "b"], []), images)
+    free = QuotientMap.permutation(Presentation(["a", "b"], []), images)
     ident = free.oracle.key(free.oracle.identity())
     relators = []
     for _ in range(rng.randrange(1, 3)):
         u = random_reduced_word(rng, 2, rng.randrange(1, 5))
-        img, k = free.image(u), 1
+        img, k = free.apply(u), 1
         while free.oracle.key(img) != ident:
-            img, k = free.oracle.multiply(img, free.image(u)), k + 1
+            img, k = free.oracle.multiply(img, free.apply(u)), k + 1
         relators.append(free_reduce(list(u.letters) * k))
     p = Presentation(["a", "b"], relators)
-    return p, FiniteQuotient(p, images)
+    return p, QuotientMap.permutation(p, images)
 
 
 # <a | a^6> at a 3-cycle has H1 = Z/2; the triangle presentations of S3, A4
@@ -252,7 +257,7 @@ FIXED_COVERS = [
 def fixed_and_random_covers(rng):
     for text in FIXED_COVERS:
         p = parse_presentation(text)
-        yield build_cover_complex(p, FiniteQuotient(p))
+        yield build_cover_complex(p, QuotientMap.permutation(p))
     for _ in range(20):
         p, q = random_killed_cover(rng)
         yield build_cover_complex(p, q)
@@ -291,11 +296,11 @@ class TestSkeleton:
         loops = 0
         for c in fixed_and_random_covers(rng):
             q = c.quotient
-            block = _regular_blocks(q.elements, q.oracle)
+            block = _regular_blocks(q.oracle.elements(), q.oracle)
             one = GroupRingElement.one(q.oracle, ZZ)
             expected = []
             for s in range(c.presentation.rank):
-                image = q.image(Word([(s, 1)]))
+                image = q.apply(Word([(s, 1)]))
                 expected += block(GroupRingElement.of(q.oracle, ZZ, image) - one)
             assert c.d1 == expected
             assert c.d1 == incidence_rows(c.skeleton)
@@ -308,11 +313,11 @@ class TestAgainstSympy:
 
     def test_fixed_values(self):
         p = parse_presentation(FIXED_COVERS[0])
-        h = homology(build_cover_complex(p, FiniteQuotient(p)))
+        h = homology(build_cover_complex(p, QuotientMap.permutation(p)))
         assert (h.h1_free_rank, h.h1_torsion) == (0, [2])
         for text in FIXED_COVERS[3:]:
             p = parse_presentation(text)
-            h = homology(build_cover_complex(p, FiniteQuotient(p)))
+            h = homology(build_cover_complex(p, QuotientMap.permutation(p)))
             assert (h.h1_free_rank, h.h1_torsion) == (0, [])
 
     def test_homology_and_universal_coefficients(self, rng):
@@ -361,13 +366,13 @@ class TestWeinbaumScan:
     def test_trefoil_fully_certified_at_z12(self):
         p = parse_presentation("gens: a, b\nrels: a^2*b^-3")
         q = twelve_cycle_quotient(p, 3, 2)
-        scan = weinbaum_scan(p.relators[0], p, q)
+        scan = weinbaum_scan(p.relators[0], q)
         assert scan and all(s.status == "NontrivialCertified" for s in scan)
         assert len(scan) == 16  # 20 rotation subwords, deduplicated
 
     def test_trivial_quotient_everything_unknown(self):
         p = parse_presentation("gens: a, b\nrels: a^2*b^-3")
-        scan = weinbaum_scan(p.relators[0], p, FiniteQuotient.trivial(p))
+        scan = weinbaum_scan(p.relators[0], QuotientMap.trivial(p))
         assert scan and all(s.status == "Unknown" for s in scan)
 
     def test_subword_equal_to_relator_stays_unknown(self):
@@ -377,6 +382,6 @@ class TestWeinbaumScan:
                          [parse_presentation("gens: a, b\nrels: a*b").relators[0],
                           (parse_presentation("gens: a, b\nrels: (a*b)^2").relators[0])])
         q = twelve_cycle_quotient(p, 1, 11)
-        scan = weinbaum_scan(p.relators[1], p, q)
+        scan = weinbaum_scan(p.relators[1], q)
         by_word = {s.subword.render(p.names): s.status for s in scan}
         assert by_word["a*b"] == "Unknown"

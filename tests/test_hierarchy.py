@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -152,6 +153,11 @@ class TestNumberLemma:
         assert report["counterexamples"] == 0
         assert report["sequences"] > 0
 
+    def test_oracle_counts(self):
+        """Counts taken from the recursive enumeration the stack replaced."""
+        assert number_lemma_oracle(2, 3, 6) == {"sequences": 364, "counterexamples": 0}
+        assert number_lemma_oracle(3, 5, 5) == {"sequences": 341, "counterexamples": 0}
+
     def test_oracle_rejects_non_coprime(self):
         with pytest.raises(InputError):
             number_lemma_oracle(2, 2, 4)
@@ -272,3 +278,25 @@ class TestHierarchy:
             tree = build_hierarchy(p)
             assert tree.depth() <= 2 * len(w)
             assert all(n.status in ("free", "cyclic") for n in tree.leaves())
+
+    def test_nodes_in_preorder_with_their_depths(self):
+        tree = build_hierarchy(parse_presentation("gens: a, b, c\nrels: a^2*b^-3"))
+        nodes = list(tree.nodes())
+        assert nodes[0] is tree.root
+        assert [n.depth for n in nodes] == list(range(len(nodes)))
+        assert [n.edge_kind for n in nodes[:2]] == [None, "restrict"]
+        assert tree.depth() == len(nodes) - 1
+        assert tree.leaves() == [n for n in nodes if n.is_leaf()]
+
+    def test_building_and_walking_leaves_no_cyclic_garbage(self):
+        """No reference cycle keeps a tree alive until a full collection."""
+        p = parse_presentation(BS12)
+        gc.collect()
+        gc.disable()
+        try:
+            tree = build_hierarchy(p)
+            tree.leaves(), tree.depth(), tree.hnn_edges(), tree.render()
+            del tree
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

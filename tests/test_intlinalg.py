@@ -5,8 +5,9 @@ from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
-from onerel.covers import FiniteQuotient, _cycle_coordinates, build_cover_complex
+from onerel.covers import _cycle_coordinates, build_cover_complex
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
+from onerel.foxcalc import QuotientMap
 from onerel.intlinalg import (_eliminate, _sparse, field_rank, nullspace,
                               quotient_invariants, row_hnf_transform, snf_invariants,
                               solve_left, spans_saturated)
@@ -233,10 +234,10 @@ class TestKernel:
     def test_cover_with_a_dense_core(self, case):
         text, images, expected = CORE_COVERS[case]
         p = parse_presentation(text)
-        q = FiniteQuotient(p, parse_quotient(images, p.names))
+        q = QuotientMap.permutation(p, parse_quotient(images, p.names))
         coords, n_cycles = _cycle_coordinates(build_cover_complex(p, q))
         rows = _sparse(coords)
-        _eliminate(rows, units=True)
+        _eliminate(rows)
         assert any(rows), "the unit pivots left no core"
         dense = [[row.get(j, 0) for j in range(n_cycles)] for row in coords]
         factors = sympy_invariants(dense, n_cycles)
@@ -253,6 +254,23 @@ class TestKernel:
             expected = [[Fraction(int(x.p), int(x.q)) for x in vec]
                         for vec in sympy_matrix(m, cols).T.nullspace()]
             assert nullspace(m, QQ) == expected, m
+
+    def test_rational_entries_against_sympy(self, rng):
+        """Over Q integral values are eliminated as ints; entries with
+        denominators, and the rows they meet, as ``Fraction``s."""
+        fractional = 0
+        for m, cols in kernel_cases(rng):
+            m = [[Fraction(x, rng.choice((1, 1, 2, 3))) for x in row] for row in m]
+            fractional += any(x.denominator > 1 for row in m for x in row)
+            assert field_rank(m, QQ) == sympy_rank(m, cols), m
+            if not m:
+                continue
+            expected = [[Fraction(int(x.p), int(x.q)) for x in vec]
+                        for vec in sympy_matrix(m, cols).T.nullspace()]
+            basis = nullspace(m, QQ)
+            assert basis == expected, m
+            assert all(type(x) is Fraction for vec in basis for x in vec)
+        assert fractional >= 50
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_nullspace_over_prime_fields(self, rng, p):
