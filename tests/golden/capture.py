@@ -198,6 +198,20 @@ def _cases():
                  ["complex", "--file", TREFOIL, "--quotient", "a -> (1 0), b -> ()"])
     out += _both("missing_file", ["complex", "--file", "samples/no_such.grp"])
     out += _both("bad_ring", ["jacobian", "--file", TREFOIL, "--ring", "R"])
+
+    # argparse's help and usage errors: exit status 0 or 2, text wrapped to
+    # COLUMNS=80
+    out += [("usage_no_arguments", []), ("help_top_level", ["--help"]),
+            ("usage_unknown_command", ["frobnicate"]),
+            ("usage_negative_number_command", ["-5", "fox"])]
+    for cmd in ("fox", "jacobian", "complex", "trapezoid", "hierarchy", "seqcheck",
+                "upcheck", "engulf", "weinbaum", "lift", "verify-example"):
+        out.append((f"help_{cmd.replace('-', '_')}", [cmd, "--help"]))
+    out += _both("usage_missing_required_flag", ["fox", "--file", TREFOIL])
+    out += [("usage_missing_value", ["complex", "--file"]),
+            ("usage_bad_int", ["trapezoid", "--cap", "x"]),
+            ("usage_bad_choice", ["trapezoid", "--certify", "bogus"]),
+            ("usage_unknown_flag", ["complex", "--file", TREFOIL, "--bogus"])]
     return out
 
 
@@ -215,17 +229,30 @@ TRIPLETS = {
 
 
 def run(argv):
-    """``(status, stdout, stderr)`` of one in-process CLI run from the root."""
+    """``(status, stdout, stderr)`` of one in-process CLI run from the root.
+
+    argparse's ``--help`` and usage errors raise ``SystemExit``; its code is
+    the status.  argparse wraps help and usage to the terminal width, so the
+    run sees ``COLUMNS=80``.
+    """
     from onerel.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = main(list(argv))
+            try:
+                status = main(list(argv))
+            except SystemExit as exc:
+                status = exc.code
     finally:
         os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return status, out.getvalue(), err.getvalue()
 
 
