@@ -312,117 +312,98 @@ def _cmd_verify_example(args):
     return report, text
 
 
-def build_parser():
+# -- the subcommand table -------------------------------------------------------
+
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_SWITCH = {"action": "store_true"}
+_JSON = ("--json", _SWITCH)
+_QUOTIENT = ("--quotient", {"help": "inline permutation images"})
+# --file, --json and --ring of the subcommands that read a presentation file
+_PRESENTATION = (("--file", {"required": True, "help": "presentation file"}),
+                 ("--json", {"action": "store_true", "help": "JSON output"}),
+                 ("--ring", {"default": "Z", "help": "coefficient domain (Z, Q, p)"}))
+
+# name -> (handler, help, flags as (flag, add_argument kwargs) in usage order)
+_SUBCOMMANDS = {
+    "fox": (_cmd_fox, "Fox derivative of a word", _PRESENTATION + (
+        ("--word", _REQUIRED), ("--gen", _REQUIRED))),
+    "jacobian": (_cmd_jacobian, "derivative matrix of the relators", _PRESENTATION + (
+        ("--abelianize", _SWITCH),
+        ("--to-abelian", {"help": "explicit Z images, e.g. a=3,b=2"}),
+        _QUOTIENT)),
+    "complex": (_cmd_complex, "finite-cover chain complex and homology", _PRESENTATION + (
+        _QUOTIENT, ("--triplets", {"help": "write matrices as sparse triplets"}))),
+    "trapezoid": (_cmd_trapezoid, "staircase search on the derivative matrix",
+                  _PRESENTATION + (
+                      ("--abelianize", _SWITCH), ("--to-abelian", {}), ("--quotient", {}),
+                      ("--row-fixed", _SWITCH), ("--cap", {"type": int, "default": 12}),
+                      ("--certify", {"choices": ["orderedOracle", "finiteSearch"]}))),
+    "hierarchy": (_cmd_hierarchy, "iterated splitting tree", _PRESENTATION + (
+        ("--max-depth", {"type": int, "default": None}),)),
+    "seqcheck": (_cmd_seqcheck, "coprime-pair sequence alternative", (
+        ("--a", _REQUIRED_INT), ("--b", _REQUIRED_INT),
+        ("--seq", {"required": True, "help": "comma-separated values"}), _JSON)),
+    "upcheck": (_cmd_upcheck, "k-unique-products check", (
+        ("--oracle", {"required": True, "help": "z, z2, mod:N or free:a+b"}),
+        ("--A", _REQUIRED), ("--B", _REQUIRED), ("--k", {"type": int, "default": 2}),
+        ("--side", {"choices": ["plain", "left", "right"], "default": "plain"}), _JSON)),
+    "engulf": (_cmd_engulf, "finite engulfing-witness search", (
+        ("--file", {}), ("--quotient", {}),
+        ("--terms", {"help": "word:coeff pairs separated by ;"}),
+        ("--cyclic", {"type": int, "help": "use Z/n with --coeffs"}),
+        ("--coeffs", {"help": "coefficients of 1, g, g^2, ..."}),
+        ("--field", {"default": "Q", "help": "Q or a prime p"}),
+        ("--side", {"choices": ["left", "right"], "default": "left"}), _JSON)),
+    "weinbaum": (_cmd_weinbaum, "certify proper subwords nontrivial", _PRESENTATION + (
+        ("--quotient", {}), ("--relator", {"type": int, "default": 0}))),
+    "lift": (_cmd_lift, "embedded-cycle lifting in a graph", (
+        ("--graph", {"required": True, "help": "edge-list file"}),
+        ("--h-edges", {"required": True, "help": "designated edge labels"}),
+        ("--cycle", {"required": True, "help": "label:coeff pairs"}),
+        ("--ring", {"default": "Z"}), _JSON)),
+    "verify-example": (_cmd_verify_example, "commutator-power matrix identity", (
+        ("--n", _REQUIRED_INT), _JSON)),
+}
+
+
+def build_parser(argv):
+    """The parser for ``argv``: every subcommand, with flags only on the one it names.
+
+    The top-level parser takes no option with a value, so the first token of
+    ``argv`` that does not start with ``-`` is the one argparse dispatches on.
+    (A token that starts with ``-`` and still counts as positional, such as
+    ``-5``, names no subcommand, so argparse refuses it at the top level.)
+    No other subparser is entered, so it needs only its name and help, for
+    the top-level usage and ``--help``.
+    """
     parser = argparse.ArgumentParser(
         prog="onerel",
         description="Exact computations for one-relator presentations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, file_required=True):
-        if file_required:
-            p.add_argument("--file", required=True, help="presentation file")
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--ring", default="Z", help="coefficient domain (Z, Q, p)")
-
-    p = sub.add_parser("fox", help="Fox derivative of a word")
-    common(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--gen", required=True)
-
-    p = sub.add_parser("jacobian", help="derivative matrix of the relators")
-    common(p)
-    p.add_argument("--abelianize", action="store_true")
-    p.add_argument("--to-abelian", help="explicit Z images, e.g. a=3,b=2")
-    p.add_argument("--quotient", help="inline permutation images")
-
-    p = sub.add_parser("complex", help="finite-cover chain complex and homology")
-    common(p)
-    p.add_argument("--quotient", help="inline permutation images")
-    p.add_argument("--triplets", help="write matrices as sparse triplets")
-
-    p = sub.add_parser("trapezoid", help="staircase search on the derivative matrix")
-    common(p)
-    p.add_argument("--abelianize", action="store_true")
-    p.add_argument("--to-abelian")
-    p.add_argument("--quotient")
-    p.add_argument("--row-fixed", action="store_true")
-    p.add_argument("--cap", type=int, default=12)
-    p.add_argument("--certify", choices=["orderedOracle", "finiteSearch"])
-
-    p = sub.add_parser("hierarchy", help="iterated splitting tree")
-    common(p)
-    p.add_argument("--max-depth", type=int, default=None)
-
-    p = sub.add_parser("seqcheck", help="coprime-pair sequence alternative")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--seq", required=True, help="comma-separated values")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("upcheck", help="k-unique-products check")
-    p.add_argument("--oracle", required=True, help="z, z2, mod:N or free:a+b")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--side", choices=["plain", "left", "right"], default="plain")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("engulf", help="finite engulfing-witness search")
-    p.add_argument("--file")
-    p.add_argument("--quotient")
-    p.add_argument("--terms", help="word:coeff pairs separated by ;")
-    p.add_argument("--cyclic", type=int, help="use Z/n with --coeffs")
-    p.add_argument("--coeffs", help="coefficients of 1, g, g^2, ...")
-    p.add_argument("--field", default="Q", help="Q or a prime p")
-    p.add_argument("--side", choices=["left", "right"], default="left")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("weinbaum", help="certify proper subwords nontrivial")
-    common(p)
-    p.add_argument("--quotient")
-    p.add_argument("--relator", type=int, default=0)
-
-    p = sub.add_parser("lift", help="embedded-cycle lifting in a graph")
-    p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--h-edges", required=True, help="designated edge labels")
-    p.add_argument("--cycle", required=True, help="label:coeff pairs")
-    p.add_argument("--ring", default="Z")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify-example", help="commutator-power matrix identity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
+    named = next((token for token in argv if not token.startswith("-")), None)
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            for flag, kwargs in flags:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "fox": _cmd_fox,
-    "jacobian": _cmd_jacobian,
-    "complex": _cmd_complex,
-    "trapezoid": _cmd_trapezoid,
-    "hierarchy": _cmd_hierarchy,
-    "seqcheck": _cmd_seqcheck,
-    "upcheck": _cmd_upcheck,
-    "engulf": _cmd_engulf,
-    "weinbaum": _cmd_weinbaum,
-    "lift": _cmd_lift,
-    "verify-example": _cmd_verify_example,
-}
-
-
-def dispatch(argv):
-    """Run one subcommand; returns (exit status, report dict, text)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+def _run(args):
+    """(exit status, report dict, text) of the parsed subcommand ``args``."""
     try:
-        payload, text = handler(args)
+        payload, text = _SUBCOMMANDS[args.command][0](args)
     except (InputError, UnsupportedError, OSError) as exc:
         return 1, {"schema": SCHEMA, "command": args.command,
                    "error": str(exc)}, f"error: {exc}"
     report = {"schema": SCHEMA, "command": args.command, "results": payload}
     return 0, report, text
+
+
+def dispatch(argv):
+    """Run one subcommand; returns (exit status, report dict, text)."""
+    return _run(build_parser(argv).parse_args(argv))
 
 
 def render(report, fmt="text", text=""):
@@ -434,9 +415,9 @@ def render(report, fmt="text", text=""):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    status, report, text = dispatch(argv)
-    wants_json = "--json" in argv
-    out = render(report, "json" if wants_json else "text", text)
+    args = build_parser(argv).parse_args(argv)
+    status, report, text = _run(args)
+    out = render(report, "json" if args.json else "text", text)
     stream = sys.stdout if status == 0 else sys.stderr
     stream.write(out)
     return status

@@ -59,10 +59,6 @@ class Graph:
     def n_edges(self):
         return len(self.edges)
 
-    def incidence(self, edge_index):
-        tail, head, _ = self.edges[edge_index]
-        return tail, head
-
     def boundary(self, chain, domain=ZZ):
         """Vertex chain of a 1-chain: head gets +coeff, tail gets -coeff."""
         out = {}

@@ -245,8 +245,6 @@ class HNNStep:
     relator_word: Word      # the rewritten relator u over the base generators
     stable_letter: str
     expansions: dict        # base generator name -> Word over the source alphabet
-    edge_path: list         # traversed cover edges as (gen index, level, sign)
-    tree_edges: set         # spanning-forest edges (gen index, level)
     assoc_j0: list = field(default_factory=list)  # words over base generators
     assoc_j1: list = field(default_factory=list)
     power: int = 1          # relator exponent carried alongside the root
@@ -408,8 +406,7 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
 
     return HNNStep(source=p, phi=phi, window=(low, high), base=base,
                    relator_word=u_root, stable_letter=_fresh_stable_name(set(p.names)),
-                   expansions=expansions, edge_path=path, tree_edges=tree,
-                   assoc_j0=j0, assoc_j1=j1, power=power)
+                   expansions=expansions, assoc_j0=j0, assoc_j1=j1, power=power)
 
 
 def _window_graph(edges, phi, low, high):

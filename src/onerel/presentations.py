@@ -59,9 +59,6 @@ class Presentation:
         except ValueError:
             raise InputError(f"unknown generator {name!r}") from None
 
-    def word(self, text):
-        return parse_word(text, self.names)
-
     def render(self):
         lines = [f"gens: {', '.join(self.names)}"]
         if self.relators:

@@ -290,3 +290,12 @@ class TestRendering:
     def test_schema_field(self):
         _, report, _ = dispatch(["verify-example", "--n", "1"])
         assert report["schema"] == 1
+
+    @pytest.mark.parametrize("flag", ["--json", "--jso", "--js"])
+    def test_abbreviated_json_flag_prints_json(self, monkeypatch, capsys, flag):
+        # argparse takes any unambiguous prefix of a long flag as the flag
+        monkeypatch.chdir(ROOT)
+        status = main(["fox", "--file", "samples/trefoil.grp", "--word", "a*b",
+                       "--gen", "a", flag])
+        assert status == 0
+        assert json.loads(capsys.readouterr().out)["results"]["derivative"] == "1"
