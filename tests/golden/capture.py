@@ -198,6 +198,17 @@ def _cases():
                  ["complex", "--file", TREFOIL, "--quotient", "a -> (1 0), b -> ()"])
     out += _both("missing_file", ["complex", "--file", "samples/no_such.grp"])
     out += _both("bad_ring", ["jacobian", "--file", TREFOIL, "--ring", "R"])
+    fox_ring = ["fox", "--file", TREFOIL, "--word", "a*b^-1", "--gen", "b", "--ring"]
+    out += _both("fox_ring_f2", fox_ring + ["2"])
+    out += _both("fox_ring_bogus", fox_ring + ["bogus"])
+    out += _both("hierarchy_ring_bogus", ["hierarchy", "--file", TREFOIL, "--ring", "bogus"])
+    out += _both("weinbaum_ring_bogus", ["weinbaum", "--file", CYCLIC6, "--ring", "bogus"])
+
+    # a value that starts with "-" and is not a plain number is read as a
+    # flag, so it needs the --flag=value form
+    out += [("usage_negative_values", ["engulf", "--cyclic", "3", "--coeffs", "-1,1,0"])]
+    out += _both("engulf_cyclic_negative_values",
+                 ["engulf", "--cyclic", "3", "--coeffs=-1,1,0"])
 
     # argparse's help and usage errors: exit status 0 or 2, text wrapped to
     # COLUMNS=80
