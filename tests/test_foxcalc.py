@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from onerel.domains import QQ, ZZ
+from onerel.domains import QQ, ZZ, parse_domain
 from onerel.errors import InputError
 from onerel.foxcalc import (QuotientMap, fox_derivative,
                             fundamental_identity_check, jacobian,
@@ -131,6 +132,64 @@ class TestJacobian:
         p = parse_presentation("gens: a")
         J = jacobian(p, QuotientMap.trivial(p), ZZ)
         assert J.shape == (0, 1)
+
+
+def _order(q, w):
+    """The order of ``w``'s image under the permutation map ``q``."""
+    one, g = q.oracle.key(q.oracle.identity()), q.apply(w)
+    power, n = g, 1
+    while q.oracle.key(power) != one:
+        power, n = q.oracle.multiply(power, g), n + 1
+    return n
+
+
+@st.composite
+def quotient_maps(draw):
+    """A presentation on 1 to 3 generators and a quotient map that kills it.
+
+    Trivial maps kill any relator.  Abelian maps kill ``w * v^-1`` for a
+    rearrangement ``v`` of ``w``'s letters.  A permutation map kills
+    ``w^n`` for the order ``n`` of ``w``'s image.
+    """
+    rank = draw(st.integers(1, 3))
+    names = ["a", "b", "c"][:rank]
+    letters = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letters, max_size=8).map(Word),
+                          min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["trivial", "abelian", "permutation"]))
+    if kind == "trivial":
+        p = Presentation(names, words)
+        return p, QuotientMap.trivial(p)
+    if kind == "abelian":
+        p = Presentation(names, [w * Word(draw(st.permutations(w.letters))).inverse()
+                                 for w in words])
+        if draw(st.booleans()):
+            return p, QuotientMap.abelianization(p)
+        width = draw(st.integers(1, 2))
+        return p, QuotientMap.to_abelian(p, {
+            i: draw(st.tuples(*[st.integers(-3, 3)] * width)) for i in range(rank)})
+    degree = draw(st.integers(1, 5))
+    images = {i: tuple(draw(st.permutations(range(degree)))) for i in range(rank)}
+    free = QuotientMap.permutation(Presentation(names, []), images)
+    p = Presentation(names, [w ** _order(free, w) for w in words])
+    return p, QuotientMap.permutation(p, images)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=quotient_maps(), domain=st.sampled_from([ZZ, QQ, parse_domain("2"),
+                                                     parse_domain("3")]))
+def test_jacobian_entries_are_pushed_forward_fox_derivatives(case, domain):
+    p, q = case
+    free = FreeOracle(p.names)
+    J = jacobian(p, q, domain)
+    for i, w in enumerate(p.relators):
+        for s in range(p.rank):
+            expect = GroupRingElement(
+                q.oracle, domain,
+                [(q.apply(v), c) for v, c in fox_derivative(w, s, free).terms.values()])
+            entry = J.entry(i, s)
+            assert list(entry.terms.items()) == list(expect.terms.items())
+            assert entry.render() == expect.render()
 
 
 class TestResolutionComplex:

@@ -1,4 +1,7 @@
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onerel.errors import InputError
 from onerel.presentations import (Presentation, parse_presentation, parse_word)
@@ -43,6 +46,30 @@ class TestWordGrammar:
         for _ in range(100):
             w = free_reduce(random_raw_letters(rng, 3, 16))
             assert parse_word(w.render(self.NAMES), self.NAMES) == w
+
+
+def _expressions():
+    """Word expressions over ``a, b, t`` with brackets, powers and commutators."""
+    names = st.sampled_from(["a", "b", "t", "1"])
+    powers = st.lists(st.integers(-3, 3), max_size=2).map(
+        lambda exps: "".join(f"^{e}" for e in exps))
+
+    def extend(inner):
+        atoms = st.one_of(
+            inner.map(lambda x: f"({x})"),
+            st.tuples(inner, inner).map(lambda xy: f"[{xy[0]}, {xy[1]}]"))
+        factors = st.tuples(atoms, powers).map("".join)
+        return st.lists(factors, min_size=1, max_size=3).map("*".join)
+
+    return st.recursive(st.tuples(names, powers).map("".join), extend, max_leaves=8)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(_expressions(), min_size=1, max_size=5))
+def test_product_parses_as_the_product_of_its_factors(factors):
+    names = TestWordGrammar.NAMES
+    expect = reduce(lambda u, v: u * v, (parse_word(f, names) for f in factors))
+    assert parse_word("*".join(factors), names) == expect
 
 
 class TestPresentationFiles:
