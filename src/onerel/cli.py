@@ -9,6 +9,7 @@ input error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -367,26 +368,21 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(argv):
-    """The parser for ``argv``: every subcommand, with flags only on the one it names.
+@functools.cache
+def build_parser():
+    """The parser of every subcommand and its flags, built once per process.
 
-    The top-level parser takes no option with a value, so the first token of
-    ``argv`` that does not start with ``-`` is the one argparse dispatches on.
-    (A token that starts with ``-`` and still counts as positional, such as
-    ``-5``, names no subcommand, so argparse refuses it at the top level.)
-    No other subparser is entered, so it needs only its name and help, for
-    the top-level usage and ``--help``.
+    The tree depends on no input, and argparse reads ``COLUMNS`` when it
+    formats help and usage, not when it builds them.
     """
     parser = argparse.ArgumentParser(
         prog="onerel",
         description="Exact computations for one-relator presentations")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((token for token in argv if not token.startswith("-")), None)
     for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == named:
-            for flag, kwargs in flags:
-                p.add_argument(flag, **kwargs)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -403,7 +399,7 @@ def _run(args):
 
 def dispatch(argv):
     """Run one subcommand; returns (exit status, report dict, text)."""
-    return _run(build_parser(argv).parse_args(argv))
+    return _run(build_parser().parse_args(argv))
 
 
 def render(report, fmt="text", text=""):
@@ -415,7 +411,7 @@ def render(report, fmt="text", text=""):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     status, report, text = _run(args)
     out = render(report, "json" if args.json else "text", text)
     stream = sys.stdout if status == 0 else sys.stderr

@@ -116,29 +116,35 @@ class QuotientMap:
         oracle = PermOracle(degrees.pop(), generators=list(images.values()))
         return cls(presentation, "permutation", oracle, images)
 
-    def apply(self, w: Word):
-        out = self.oracle.identity()
+    def prefix_images(self, w: Word) -> list:
+        """Images of the prefixes of ``w``, of lengths 0 to ``len(w)``, in one walk."""
+        oracle, images = self.oracle, self.images
+        out = oracle.identity()
+        outs = [out]
         for i, s in w.letters:
-            img = self.images[i] if s > 0 else self.oracle.invert(self.images[i])
-            out = self.oracle.multiply(out, img)
-        return out
+            out = oracle.multiply(out, images[i] if s > 0 else oracle.invert(images[i]))
+            outs.append(out)
+        return outs
 
-    def apply_ring(self, x: GroupRingElement, domain: Domain) -> GroupRingElement:
-        """Push a free-group-ring element forward to the quotient's ring."""
-        return GroupRingElement(
-            self.oracle, domain,
-            [(self.apply(w), c) for w, c in x.terms.values()])
+    def apply(self, w: Word):
+        return self.prefix_images(w)[-1]
 
 
 def jacobian(presentation: Presentation, quotient: QuotientMap,
              domain: Domain = ZZ) -> GroupRingMatrix:
-    """Matrix of pushed-forward derivatives: rows relators, columns generators."""
-    free = FreeOracle(presentation.names)
+    """Matrix of pushed-forward derivatives: rows relators, columns generators.
+
+    Each relator is walked once: the closed form's prefixes are read off the
+    running images of :meth:`QuotientMap.prefix_images`.
+    """
     entries = []
     for w in presentation.relators:
-        row = [quotient.apply_ring(fox_derivative(w, s, free), domain)
-               for s in range(presentation.rank)]
-        entries.append(row)
+        prefixes = quotient.prefix_images(w)
+        columns = [[] for _ in range(presentation.rank)]
+        for k, (i, s) in enumerate(w.letters):
+            columns[i].append((prefixes[k], 1) if s > 0 else (prefixes[k + 1], -1))
+        entries.append([GroupRingElement(quotient.oracle, domain, terms)
+                        for terms in columns])
     return GroupRingMatrix(
         quotient.oracle, domain, entries,
         row_labels=[w.render(presentation.names) for w in presentation.relators],

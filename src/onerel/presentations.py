@@ -122,11 +122,13 @@ class _Tokens:
 
 
 def _parse_expr(toks, names):
-    word = _parse_factor(toks, names)
+    # free reduction is confluent, so reducing the factors' letters once
+    # gives their product
+    letters = list(_parse_factor(toks, names).letters)
     while toks.peek() == "*":
         toks.next()
-        word = word * _parse_factor(toks, names)
-    return word
+        letters += _parse_factor(toks, names).letters
+    return Word(letters)
 
 
 def _parse_factor(toks, names):

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -299,3 +300,22 @@ class TestRendering:
                        "--gen", "a", flag])
         assert status == 0
         assert json.loads(capsys.readouterr().out)["results"]["derivative"] == "1"
+
+
+def test_a_run_leaves_little_cyclic_garbage(monkeypatch, capsys):
+    # The parser is built once per process, so a run after the first adds no
+    # argparse objects.  What the collector still finds is the closures of
+    # json.dumps(indent=1)'s encoder: 33 objects.
+    monkeypatch.chdir(ROOT)
+    argv = ["fox", "--file", "samples/trefoil.grp", "--word", "a*b", "--gen", "a",
+            "--json"]
+    main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert found < 100
