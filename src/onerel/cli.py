@@ -67,7 +67,7 @@ def _cmd_fox(args):
     pres = load_presentation(args.file)
     w = parse_word(args.word, pres.names)
     idx = pres.gen_index(args.gen)
-    d = fox_derivative(w, idx, FreeOracle(pres.names))
+    d = fox_derivative(w, idx, FreeOracle(pres.names), parse_domain(args.ring))
     return {
         "word": w.render(pres.names),
         "generator": args.gen,
@@ -176,6 +176,7 @@ def _node_payload(node):
 
 def _cmd_hierarchy(args):
     pres = load_presentation(args.file)
+    parse_domain(args.ring)     # checked only: the hierarchy takes no coefficients
     tree = build_hierarchy(pres, max_depth=args.max_depth)
     return {"tree": _node_payload(tree.root), "depth": tree.depth(),
             "leaves": [n.status for n in tree.leaves()]}, tree.render()
@@ -264,6 +265,7 @@ def _cmd_engulf(args):
 
 def _cmd_weinbaum(args):
     pres = load_presentation(args.file)
+    parse_domain(args.ring)     # checked only: the scan takes no coefficients
     q = _finite_quotient(pres, args)
     if not 0 <= args.relator < len(pres.relators):
         raise InputError(f"relator index {args.relator} out of range")

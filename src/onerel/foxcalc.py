@@ -24,17 +24,17 @@ def _word_derivative(word: Word, gen_index: int):
             for k, (i, s) in enumerate(word.letters) if i == gen_index]
 
 
-def fox_derivative(x, gen_index: int,
-                   oracle: FreeOracle | None = None) -> GroupRingElement:
+def fox_derivative(x, gen_index: int, oracle: FreeOracle | None = None,
+                   domain: Domain = ZZ) -> GroupRingElement:
     """Derivative of a Word or a free-group-ring element w.r.t. one generator.
 
-    A Word's derivative lies in ``Z[oracle]``; an element's derivative lies
-    over the element's own oracle and domain.
+    A Word's derivative lies in ``domain[oracle]``; an element's derivative
+    lies over the element's own oracle and domain.
     """
     if isinstance(x, Word):
         if oracle is None:
             raise InputError("the derivative of a word needs a free oracle")
-        return GroupRingElement(oracle, ZZ, _word_derivative(x, gen_index))
+        return GroupRingElement(oracle, domain, _word_derivative(x, gen_index))
     dom = x.domain
     return GroupRingElement(x.oracle, dom, [
         (prefix, dom.mul(dom.coerce(sign), c))
