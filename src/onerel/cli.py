@@ -375,7 +375,8 @@ def build_parser():
     """The parser of every subcommand and its flags, built once per process.
 
     The tree depends on no input, and argparse reads ``COLUMNS`` when it
-    formats help and usage, not when it builds them.
+    formats help and usage, not when it builds them.  Every caller gets the
+    same parser, so callers only parse with it.
     """
     parser = argparse.ArgumentParser(
         prog="onerel",
