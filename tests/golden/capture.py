@@ -32,6 +32,9 @@ BS12 = "samples/bs12.grp"
 CYCLIC6 = "samples/cyclic6.grp"
 THETA = "samples/theta.graph"
 MULTI = f"{INPUTS}/multi.graph"
+THREE_GENS = f"{INPUTS}/three_gens.grp"
+# an order-24 quotient of three_gens.grp onto S4; its relator has inverse letters
+THREE_GENS_S4 = "a -> (3 4), b -> (1 2), c -> (2 3 4)"
 
 # trefoil quotients <a, b | a^2*b^-3> by group order
 LADDER = {
@@ -112,11 +115,15 @@ def _cases():
             out += _both(f"complex_trefoil_{order}_{tag}",
                          ["complex", "--file", TREFOIL, "--quotient", images,
                           "--ring", ring])
+    for ring, tag in (("Z", "z"), ("3", "f3")):
+        out += _both(f"complex_three_gens_24_{tag}",
+                     ["complex", "--file", THREE_GENS, "--quotient", THREE_GENS_S4,
+                      "--ring", ring])
 
     for name, path in (("trefoil", TREFOIL), ("torus", TORUS), ("bs12", BS12),
                        ("cyclic6", CYCLIC6),
                        ("bs13", f"{INPUTS}/bs13.grp"),
-                       ("three_gens", f"{INPUTS}/three_gens.grp"),
+                       ("three_gens", THREE_GENS),
                        ("two_steps", f"{INPUTS}/two_steps.grp"),
                        ("steps25", f"{INPUTS}/steps25.grp")):
         out += _both(f"hierarchy_{name}", ["hierarchy", "--file", path])
@@ -229,13 +236,15 @@ def _cases():
 CASES = dict(_cases())
 
 # ``complex`` runs whose ``--triplets`` file is pinned: a torsion cover, one
-# with loop edges (b maps to the identity) and two trefoil quotients
+# with loop edges (b maps to the identity), two trefoil quotients and a
+# three-generator quotient
 TRIPLETS = {
     "cyclic6_torsion": ["complex", "--file", f"{INPUTS}/cyclic6_torsion.grp"],
     "loop_edges": ["complex", "--file", f"{INPUTS}/rowfixed.grp",
                    "--quotient", "a -> (1 2), b -> ()"],
     "trefoil_12": ["complex", "--file", TREFOIL, "--quotient", LADDER[12]],
     "trefoil_60": ["complex", "--file", TREFOIL, "--quotient", LADDER[60]],
+    "three_gens_24": ["complex", "--file", THREE_GENS, "--quotient", THREE_GENS_S4],
 }
 
 
