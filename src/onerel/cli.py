@@ -294,7 +294,7 @@ def _cmd_lift(args):
     if isinstance(result, NotApplicable):
         return {"applicable": False, "reason": result.reason}, \
             f"not applicable: {result.reason}"
-    walk = [(graph.edges[e][2], s) for e, s in result.cycle_walk]
+    walk = [(graph.label(e), s) for e, s in result.cycle_walk]
     payload = {
         "applicable": True,
         "cycle": [[lab, s] for lab, s in walk],

@@ -5,7 +5,7 @@ of a finite quotient, a :class:`~onerel.foxcalc.QuotientMap` whose oracle
 enumerates its elements, gives the integer boundary maps of the corresponding
 cover of the presentation complex.  Chains are row vectors acted on from the
 right, so the composite ``D2 @ D1`` must vanish.  ``D2`` is kept as sparse
-rows, a handful of +-1 entries each, read straight off the derivative matrix;
+rows, a handful of +-1 entries each, walked off the quotient's Cayley table;
 ``D1`` is the incidence of the 1-skeleton, the Cayley graph of the quotient.
 A 1-cycle is fixed by its coefficients on the edges outside a spanning
 forest, so homology and lattice generation questions are settled in
@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 from .domains import Domain, ZZ
 from .errors import InputError
-from .foxcalc import QuotientMap, jacobian
+from .foxcalc import QuotientMap
 from .graphs import Graph
-from .intlinalg import field_rank, quotient_invariants, spans_saturated
-# Unused here; the benchmark's tracer test patches ``covers.solve_left``.
-from .intlinalg import solve_left
+# ``solve_left`` is unused; the benchmark's tracer test patches ``covers.solve_left``.
+from .intlinalg import field_rank, quotient_invariants, solve_left, spans_saturated
 from .presentations import Presentation
 from .words import Word, proper_subwords
 
@@ -66,9 +65,6 @@ class CoverComplex:
         edges = self.skeleton.n_edges()
         return len(self.rows), edges, len(self.skeleton.vertices) if edges else 0
 
-    def composite_is_zero(self):
-        return not any(self.skeleton.boundary(row) for row in self.rows)
-
     def to_triplet_text(self):
         """Sparse triplet serialisation: header then ``row col value`` lines."""
         rows, edges, vertices = self.shape
@@ -85,41 +81,41 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
                         domain: Domain = ZZ) -> CoverComplex:
     """Boundary maps of the cover of the presentation complex at ``q``.
 
-    Row ``(i, g)`` of ``d2`` is read off the derivative matrix ``J``: it is
-    ``{j * |Q| + idx(g * h): c for (h, c) in J[i][j]}``, the right-regular
-    image of ``J[i][j]``.  The edge ``(s, g)`` runs from vertex ``g`` to vertex
-    ``g * phi(s)`` (a loop has zero boundary).  Every row's boundary is
-    verified to vanish exactly.  A quotient whose oracle cannot enumerate its
-    elements, such as Z^k or a group above the order cap, is refused with
-    :class:`~onerel.errors.UnsupportedError`.
+    Row ``(i, g)`` of ``d2`` is ``{j * |Q| + idx(g * h): c for (h, c) in J[i][j]}``,
+    the right-regular image of the derivative row ``J[i]``.  A walk along relator
+    ``i`` over the Cayley table keeps ``cur[k] = idx(elements[k] * prefix)``,
+    moved by a column per letter (its inverse for an inverse letter); Fox terms
+    of one generator at one image ``cur[0]`` merge.  The edge ``(s, g)`` runs
+    from vertex ``g`` to vertex ``g * phi(s)``.  Every row's boundary is summed
+    in plain ints and verified to vanish.  A quotient whose oracle cannot
+    enumerate its elements, such as Z^k or a group above the order cap, is
+    refused with :class:`~onerel.errors.UnsupportedError`.
     """
-    oracle = q.oracle
-    elements = oracle.elements()
-    jac = jacobian(p, q, ZZ)
-    n = len(elements)
-    index = {oracle.key(g): k for k, g in enumerate(elements)}
-    shifts = {}
-
-    def shift(h):
-        """``[idx(g * h) for g in elements]``, computed once per distinct h."""
-        k = oracle.key(h)
-        if k not in shifts:
-            shifts[k] = [index[oracle.key(oracle.multiply(g, h))] for g in elements]
-        return shifts[k]
-
+    n = len(q.oracle.elements())
+    columns = [q.oracle.cayley_column(q.images[s]) for s in range(p.rank)]
+    inverses = [sorted(range(n), key=column.__getitem__) for column in columns]
     rows = []
-    for i in range(jac.nrows):
-        terms = [(j * n, shift(h), c) for j in range(jac.ncols)
-                 for h, c in jac.entry(i, j).terms.values()]
-        rows += [{base + images[k]: c for base, images, c in terms} for k in range(n)]
-
-    edges = [(k, head) for s in range(p.rank)
-             for k, head in enumerate(shift(q.apply(Word([(s, 1)]))))]
-    complex_ = CoverComplex(presentation=p, quotient=q, domain=domain, rows=rows,
-                            skeleton=Graph(range(n), edges))
-    if not complex_.composite_is_zero():
-        raise InputError("cover boundary matrices do not compose to zero")
-    return complex_
+    for w in p.relators:
+        cur = list(range(n))
+        sums = [{} for _ in range(p.rank)]   # per generator: {cur[0]: [cur, coefficient]}
+        for j, sign in w.letters:
+            nxt = list(map((columns if sign > 0 else inverses)[j].__getitem__, cur))
+            at = cur if sign > 0 else nxt      # the prefix without or with the letter
+            sums[j].setdefault(at[0], [at, 0])[1] += sign
+            cur = nxt
+        terms = [(j * n, at, c) for j, m in enumerate(sums) for at, c in m.values() if c]
+        rows += [{base + at[k]: c for base, at, c in terms} for k in range(n)]
+    edges = [(k, head) for column in columns for k, head in enumerate(column)]
+    for row in rows:
+        boundary = {}
+        for e, c in row.items():
+            tail, head = edges[e]
+            boundary[head] = boundary.get(head, 0) + c
+            boundary[tail] = boundary.get(tail, 0) - c
+        if any(boundary.values()):
+            raise InputError("cover boundary matrices do not compose to zero")
+    return CoverComplex(presentation=p, quotient=q, domain=domain, rows=rows,
+                        skeleton=Graph(range(n), edges))
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .domains import ZZ
 from .errors import InputError
@@ -18,22 +19,40 @@ from .intlinalg import spans_saturated
 
 
 class Graph:
-    """Oriented multigraph; loops allowed.  Edges are (tail, head, label)."""
+    """Oriented multigraph; loops allowed.  Edges are (tail, head, label).
+
+    Edge ``k`` given without a label is labelled ``e<k>``.  A graph with no
+    labelled edge stores ``None`` for each label and writes ``e<k>`` only
+    where a label is read: :meth:`label`, ``label_index`` and
+    :meth:`to_edge_list`.  Once any edge has a label, every label is stored,
+    so one that repeats another edge's, given or default, is refused.
+    """
 
     def __init__(self, vertices, edges):
         self.vertices = sorted(set(vertices))
+        self.edges = [(tail, head, rest[0] if rest else None)
+                      for tail, head, *rest in edges]
+        if any(label is not None for _, _, label in self.edges):
+            self.edges = [(tail, head, self.label(k))
+                          for k, (tail, head, _) in enumerate(self.edges)]
         known = set(self.vertices)
-        self.edges = []
         labels = set()
-        for tail, head, *rest in edges:
-            label = rest[0] if rest else f"e{len(self.edges)}"
-            if label in labels:
-                raise InputError(f"duplicate edge label {label!r}")
-            labels.add(label)
+        for k, (tail, head, label) in enumerate(self.edges):
+            if label is not None:
+                if label in labels:
+                    raise InputError(f"duplicate edge label {label!r}")
+                labels.add(label)
             if tail not in known or head not in known:
-                raise InputError(f"edge {label} touches an unknown vertex")
-            self.edges.append((tail, head, label))
-        self.label_index = {lab: i for i, (_, _, lab) in enumerate(self.edges)}
+                raise InputError(f"edge {self.label(k)} touches an unknown vertex")
+
+    def label(self, e):
+        """Edge ``e``'s label: the one it was given, or ``e<e>``."""
+        label = self.edges[e][2]
+        return f"e{e}" if label is None else label
+
+    @cached_property
+    def label_index(self):
+        return {self.label(e): e for e in range(len(self.edges))}
 
     @classmethod
     def from_edge_list(cls, text):
@@ -54,7 +73,8 @@ class Graph:
         return cls(vertices, edges)
 
     def to_edge_list(self):
-        return "\n".join(f"{t} {h} {lab}" for t, h, lab in self.edges)
+        return "\n".join(f"{t} {h} {self.label(e)}"
+                         for e, (t, h, _) in enumerate(self.edges))
 
     def n_edges(self):
         return len(self.edges)

@@ -3,14 +3,14 @@
 An oracle supplies identity/multiply/invert plus an injective canonical key
 for hashing.  Finite oracles can enumerate all elements (deterministically,
 identity first) up to ``MAX_QUOTIENT_ORDER`` of them, and refuse a larger
-group with :class:`~onerel.errors.UnsupportedError`; ordered oracles expose
-``compare``, a right-invariant total order.
+group with :class:`~onerel.errors.UnsupportedError`; their ``cayley_column``
+gives right multiplication by a generator as a map of element indices.
+Ordered oracles expose ``compare``, a right-invariant total order.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 
 from .errors import InputError, UnsupportedError
 from .magnus import magnus_compare
@@ -81,6 +81,10 @@ class ModOracle(GroupOracle):
         if self.n > MAX_QUOTIENT_ORDER:
             raise UnsupportedError(ORDER_REFUSAL)
         return list(range(self.n))
+
+    def cayley_column(self, h):
+        """``[idx(g * h) for g in self.elements()]``, in closed form."""
+        return [(k + h) % self.n for k in self.elements()]
 
     def render(self, a):
         return "1" if a % self.n == 0 else f"g^{a % self.n}" if a % self.n != 1 else "g"
@@ -209,6 +213,7 @@ class PermOracle(GroupOracle):
                 raise InputError(f"{g} is not a permutation of {degree} points")
         self.name = f"Perm{degree}"
         self._elements = None
+        self._columns = None     # generator image -> its Cayley-table column
 
     def identity(self):
         return tuple(range(self.degree))
@@ -229,24 +234,36 @@ class PermOracle(GroupOracle):
         return True
 
     def elements(self):
+        """Breadth-first from the identity, generators in sorted order.
+
+        The search also records the Cayley table: for each generator image
+        ``h``, the column ``[idx(g * h) for g in elements]``, which
+        :meth:`cayley_column` returns.
+        """
         if self._elements is None:
             ident = self.identity()
-            seen = {ident}
+            index = {ident: 0}
             order = [ident]
-            queue = deque([ident])
             gens = sorted(set(self.generators))
-            while queue:
-                g = queue.popleft()
+            columns = {h: [] for h in gens}
+            for g in order:      # the list grows behind the loop: a FIFO queue
                 for h in gens:
                     nxt = self.multiply(g, h)
-                    if nxt not in seen:
+                    k = index.get(nxt)
+                    if k is None:
                         if len(order) == MAX_QUOTIENT_ORDER:
                             raise UnsupportedError(ORDER_REFUSAL)
-                        seen.add(nxt)
+                        k = index[nxt] = len(order)
                         order.append(nxt)
-                        queue.append(nxt)
-            self._elements = order
+                    columns[h].append(k)
+            self._elements, self._columns = order, columns
         return list(self._elements)
+
+    def cayley_column(self, h):
+        """The recorded column ``[idx(g * h) for g in elements]`` of a generator ``h``."""
+        if self._columns is None:
+            self.elements()
+        return list(self._columns[tuple(h)])
 
     def is_transitive(self):
         reached = {0}

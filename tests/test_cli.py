@@ -111,6 +111,15 @@ class TestDispatch:
         assert report["results"]["unit"] == "1"
         assert "embedded cycle: e1 e2^-1" in text
 
+    def test_lift_on_an_unlabelled_graph(self, tmp_path):
+        path = tmp_path / "theta.graph"
+        path.write_text("u v\nu v\nu v\n")
+        status, report, text = dispatch(
+            ["lift", "--graph", str(path), "--h-edges", "e0", "--cycle", "e0:1,e1:-1"])
+        assert status == 0
+        assert report["results"]["cycle"] == [["e0", 1], ["e1", -1]]
+        assert "embedded cycle: e0 e1^-1" in text
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["frobnicate"])

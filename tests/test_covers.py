@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
@@ -11,7 +12,7 @@ from onerel.errors import InputError, UnsupportedError
 from onerel.foxcalc import QuotientMap, jacobian
 from onerel.graphs import Graph
 from onerel.groupring import GroupRingElement
-from onerel.oracles import parse_permutation
+from onerel.oracles import PermOracle, parse_permutation
 from onerel.presentations import Presentation, parse_presentation
 from onerel.words import Word, free_reduce
 
@@ -49,7 +50,7 @@ class TestBuildCoverComplex:
         c = build_cover_complex(p, QuotientMap.permutation(p))
         assert c.d2 == [[1, 1], [1, 1]]
         assert sorted(map(sorted, c.d1)) == [[-1, 1], [-1, 1]]
-        assert c.composite_is_zero()
+        assert not any(map(any, mat_mul(c.d2, c.d1)))
 
     def test_order_cap(self, monkeypatch):
         p = parse_presentation("gens: a, b\nrels: a^2 ; b^3")
@@ -92,14 +93,32 @@ class TestBuildCoverComplex:
     def test_d2_rows_are_regular_images_of_the_jacobian(self, rng):
         """Sparse d2 against dense right-regular blocks of the pushed Jacobian."""
         for c in fixed_and_random_covers(rng):
-            q = c.quotient
-            block = _regular_blocks(q.oracle.elements(), q.oracle)
-            jac = jacobian(c.presentation, q, ZZ)
-            expected = []
-            for i in range(jac.nrows):
-                blocks = [block(jac.entry(i, j)) for j in range(jac.ncols)]
-                expected += [[x for b in blocks for x in b[k]] for k in range(len(q.oracle.elements()))]
-            assert c.d2 == expected
+            assert c.d2 == regular_jacobian(c.presentation, c.quotient)
+
+    def test_composite_check_fires_on_a_corrupted_table(self):
+        """A table entry pointed at another element breaks the walk's closure."""
+        p = parse_presentation("gens: a, b\nrels: a^2*b^-3\nquotient: a -> (1 2), b -> (1 2 3)")
+        q = QuotientMap.permutation(p)
+        build_cover_complex(p, q)
+        column = q.oracle._columns[q.images[1]]
+        column[0] = column[1]
+        with pytest.raises(InputError, match="^cover boundary matrices do not compose to zero$"):
+            build_cover_complex(p, q)
+
+    def test_rows_and_skeleton_come_from_the_table_alone(self, monkeypatch):
+        """Once the elements are enumerated, no group operation and no Jacobian."""
+        p = parse_presentation(FIXED_COVERS[-1])
+        q = QuotientMap.permutation(p)
+        expected = build_cover_complex(p, q)
+
+        def refuse(*args):
+            raise AssertionError("the cover build called a group operation")
+
+        for name in ("multiply", "invert", "key"):
+            monkeypatch.setattr(PermOracle, name, refuse)
+        monkeypatch.setattr(QuotientMap, "prefix_images", refuse)
+        c = build_cover_complex(p, q)
+        assert c.rows == expected.rows and c.skeleton.edges == expected.skeleton.edges
 
     def test_triplet_export(self):
         p = parse_presentation("gens: a\nrels: a^2\nquotient: a -> (1 2)")
@@ -168,7 +187,7 @@ class TestHomology:
                              [(new_vertex[c.skeleton.edges[e][0]],
                                new_vertex[c.skeleton.edges[e][1]]) for e in cols])
             shuffled = replace(c, rows=shuffled_rows, skeleton=skeleton)
-            assert shuffled.composite_is_zero()
+            assert not any(map(any, mat_mul(shuffled.d2, shuffled.d1)))
             assert shuffled.d2 == [[c.d2[r][e] for e in cols] for r in rows]
             assert shuffled.d1 == [[c.d1[e][v] for v in verts] for e in cols]
             h2 = homology(shuffled)
@@ -277,6 +296,76 @@ def _regular_blocks(element_list, oracle):
         return mat
 
     return block
+
+
+def regular_jacobian(p, q):
+    """Dense right-regular images of the Jacobian's rows, from ``_regular_blocks``."""
+    elements = q.oracle.elements()
+    block = _regular_blocks(elements, q.oracle)
+    jac = jacobian(p, q, ZZ)
+    out = []
+    for i in range(jac.nrows):
+        blocks = [block(jac.entry(i, j)) for j in range(jac.ncols)]
+        out += [[x for b in blocks for x in b[k]] for k in range(len(elements))]
+    return out
+
+
+@st.composite
+def table_covers(draw):
+    """A presentation on 1-3 generators and a quotient of degree <= 5 killing it.
+
+    Each relator is ``u^m * t * v^k * t^-1`` with ``m`` and ``k`` the orders of
+    the images of ``u`` and ``v``, so the Fox terms of ``t`` and ``t^-1`` meet
+    at one image and cancel.  A fifth of the draws use the trivial quotient,
+    and a generator's image is the identity a quarter of the time.
+    """
+    rank = draw(st.integers(1, 3))
+    names = ["a", "b", "c"][:rank]
+    degree = draw(st.integers(2, 5))
+    perm = st.permutations(range(degree)).map(tuple)
+    images = {g: draw(st.one_of(st.just(tuple(range(degree))), perm, perm, perm))
+              for g in names}
+    trivial = draw(st.integers(0, 4)) == 0
+    free = QuotientMap.permutation(Presentation(names, []), images)
+    ident = free.oracle.key(free.oracle.identity())
+    words = st.lists(st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1))),
+                     min_size=1, max_size=5).map(Word)
+
+    def killed(u):
+        img, k = free.apply(u), 1
+        while not trivial and free.oracle.key(img) != ident:
+            img, k = free.oracle.multiply(img, free.apply(u)), k + 1
+        return u ** k
+
+    relators = []
+    for _ in range(draw(st.integers(1, 2))):
+        u, t, v = draw(words), draw(words), draw(words)
+        relators.append(killed(u) * t * killed(v) * t.inverse())
+    p = Presentation(names, relators)
+    return p, QuotientMap.trivial(p) if trivial else QuotientMap.permutation(p, images)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(table_covers())
+def test_table_cover_against_tuple_products(cover):
+    """Recorded columns, rows and skeleton against permutation products."""
+    p, q = cover
+    c = build_cover_complex(p, q)
+    oracle, elements = q.oracle, q.oracle.elements()
+    index = {oracle.key(g): k for k, g in enumerate(elements)}
+
+    def products(h):
+        return [index[oracle.key(oracle.multiply(g, h))] for g in elements]
+
+    images = [q.images[s] for s in range(p.rank)]
+    columns = oracle._columns if q.kind == "permutation" else {
+        h: oracle.cayley_column(h) for h in images}
+    assert set(columns) == set(images)
+    for h, column in columns.items():
+        assert column == products(h)
+    assert c.d2 == regular_jacobian(p, q)
+    assert c.skeleton.edges == [(k, head, None) for h in images
+                                for k, head in enumerate(products(h))]
 
 
 def incidence_rows(graph):

@@ -6,6 +6,7 @@ from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
+from onerel.errors import InputError
 from onerel.graphs import (CycleLift, Graph, NotApplicable, cycle_space,
                            lift_cycle)
 
@@ -18,6 +19,10 @@ def square():
 
 def theta():
     return Graph(["u", "v"], [("u", "v", "e1"), ("u", "v", "e2"), ("u", "v", "e3")])
+
+
+def unlabelled_theta():
+    return Graph(["u", "v"], [("u", "v"), ("u", "v"), ("u", "v")])
 
 
 def random_connected_graph(rng, max_vertices=12):
@@ -50,6 +55,48 @@ class TestGraphBasics:
         chain = {0: 1, 1: 1, 2: 1, 3: 1}
         assert g.boundary(chain) == {}
         assert g.boundary({0: 1}) == {"2": 1, "1": -1}
+
+
+class TestUnlabelledEdges:
+    """Edge ``k`` given without a label answers to ``e<k>`` where labels are read."""
+
+    def test_labels_are_read_as_defaults(self):
+        g = unlabelled_theta()
+        assert [g.label(e) for e in range(3)] == ["e0", "e1", "e2"]
+        assert g.label_index == {"e0": 0, "e1": 1, "e2": 2}
+        assert g.to_edge_list() == "u v e0\nu v e1\nu v e2"
+
+    def test_edge_list_round_trip(self):
+        g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+        text = g.to_edge_list()
+        g2 = Graph.from_edge_list(text)
+        assert g2.to_edge_list() == text
+        assert g2.label_index == g.label_index
+        assert [edge[:2] for edge in g2.edges] == [edge[:2] for edge in g.edges]
+        assert Graph.from_edge_list("a b\nb c\nc a").to_edge_list() == text
+
+    def test_given_label_repeating_a_default_is_refused(self):
+        with pytest.raises(InputError, match="^duplicate edge label 'e1'$"):
+            Graph(["a", "b", "c"], [("a", "b", "e1"), ("b", "c")])
+
+    def test_mixed_labels_are_all_stored(self):
+        g = Graph(["a", "b"], [("a", "b"), ("b", "a", "back")])
+        assert g.edges == [("a", "b", "e0"), ("b", "a", "back")]
+
+    def test_unknown_vertex_names_the_default_label(self):
+        with pytest.raises(InputError, match="^edge e1 touches an unknown vertex$"):
+            Graph(["a", "b"], [("a", "b"), ("b", "c")])
+
+    def test_lift_by_default_labels(self):
+        labelled = Graph(["u", "v"], [("u", "v", f"e{k}") for k in range(3)])
+        for g in (unlabelled_theta(), labelled):
+            lift = lift_cycle(g, ["e0"], {"e0": 1, "e1": -1})
+            assert lift.verified and lift.unit == 1
+            assert [(g.label(e), s) for e, s in lift.cycle_walk] == [("e0", 1), ("e1", -1)]
+
+    def test_lift_refuses_an_unknown_label(self):
+        with pytest.raises(InputError, match="^unknown edge label 'e3'$"):
+            lift_cycle(unlabelled_theta(), ["e3"], {"e0": 1, "e1": -1})
 
 
 class TestCycleSpace:
