@@ -35,6 +35,12 @@ MULTI = f"{INPUTS}/multi.graph"
 THREE_GENS = f"{INPUTS}/three_gens.grp"
 # an order-24 quotient of three_gens.grp onto S4; its relator has inverse letters
 THREE_GENS_S4 = "a -> (3 4), b -> (1 2), c -> (2 3 4)"
+# proper-power relators at an order-24 quotient onto S4: the cover repeats
+# each relator row along the cyclic subgroup of its root; in triangle_434.grp
+# a^4 is twice the order of a, so its repeated rows carry the coefficient 2
+TRIANGLES = {"triangle_234": f"{INPUTS}/triangle_234.grp",
+             "triangle_434": f"{INPUTS}/triangle_434.grp"}
+TRIANGLE_S4 = "a -> (1 2), b -> (2 3 4)"
 
 # trefoil quotients <a, b | a^2*b^-3> by group order
 LADDER = {
@@ -119,6 +125,11 @@ def _cases():
         out += _both(f"complex_three_gens_24_{tag}",
                      ["complex", "--file", THREE_GENS, "--quotient", THREE_GENS_S4,
                       "--ring", ring])
+    for name, path in TRIANGLES.items():
+        for ring, tag in (("Z", "z"), ("2", "f2")):
+            out += _both(f"complex_{name}_24_{tag}",
+                         ["complex", "--file", path, "--quotient", TRIANGLE_S4,
+                          "--ring", ring])
 
     for name, path in (("trefoil", TREFOIL), ("torus", TORUS), ("bs12", BS12),
                        ("cyclic6", CYCLIC6),
@@ -236,8 +247,8 @@ def _cases():
 CASES = dict(_cases())
 
 # ``complex`` runs whose ``--triplets`` file is pinned: a torsion cover, one
-# with loop edges (b maps to the identity), two trefoil quotients and a
-# three-generator quotient
+# with loop edges (b maps to the identity), two trefoil quotients, a
+# three-generator quotient and repeated rows with the coefficient 2
 TRIPLETS = {
     "cyclic6_torsion": ["complex", "--file", f"{INPUTS}/cyclic6_torsion.grp"],
     "loop_edges": ["complex", "--file", f"{INPUTS}/rowfixed.grp",
@@ -245,6 +256,8 @@ TRIPLETS = {
     "trefoil_12": ["complex", "--file", TREFOIL, "--quotient", LADDER[12]],
     "trefoil_60": ["complex", "--file", TREFOIL, "--quotient", LADDER[60]],
     "three_gens_24": ["complex", "--file", THREE_GENS, "--quotient", THREE_GENS_S4],
+    "triangle_434_24": ["complex", "--file", TRIANGLES["triangle_434"],
+                        "--quotient", TRIANGLE_S4],
 }
 
 
