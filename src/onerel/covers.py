@@ -8,10 +8,13 @@ right, so the composite ``D2 @ D1`` must vanish.  ``D2`` is kept as sparse
 rows, a handful of +-1 entries each, walked off the quotient's Cayley table;
 ``D1`` is the incidence of the 1-skeleton, the Cayley graph of the quotient.
 A 1-cycle is fixed by its coefficients on the edges outside a spanning
-forest, so homology and lattice generation questions are settled in
-spanning-forest coordinates: ranks and Smith invariants of ``D2`` restricted
-to the non-forest edges, from the sparse elimination kernel in
-:mod:`onerel.intlinalg`.
+forest, here the BFS tree the quotient's enumeration recorded, so homology
+and lattice generation questions are settled in spanning-forest
+coordinates: ranks and Smith invariants of ``D2`` restricted to the
+non-forest edges, from the sparse elimination kernel in
+:mod:`onerel.intlinalg`.  Homology eliminates each distinct restricted row
+once: a proper-power relator repeats its rows along the cyclic subgroup of
+its root, and a repeat adds nothing to the row span.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ class CoverComplex:
     Row ``i * |Q| + k`` of ``d2`` is the 2-cell of relator ``i`` at element
     ``k``, a dict ``{column: coefficient}``; column ``s * |Q| + k`` is the edge
     of generator ``s`` at element ``k``, which is edge ``s * |Q| + k`` of the
-    skeleton.  ``d1`` is the skeleton's incidence matrix.
+    skeleton.  ``d1`` is the skeleton's incidence matrix.  ``forest`` lists
+    the skeleton edges of a spanning forest, the enumeration's BFS tree.
     """
 
     presentation: Presentation
@@ -43,6 +47,7 @@ class CoverComplex:
     domain: Domain
     rows: list                # the rows of d2
     skeleton: Graph           # the 1-skeleton; its edges are the rows of d1
+    forest: list              # skeleton edges of a spanning forest
 
     @property
     def d2(self):
@@ -89,9 +94,15 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
     from vertex ``g`` to vertex ``g * phi(s)``.  Every row's boundary is summed
     in plain ints and verified to vanish.  A quotient whose oracle cannot
     enumerate its elements, such as Z^k or a group above the order cap, is
-    refused with :class:`~onerel.errors.UnsupportedError`.
+    refused with :class:`~onerel.errors.UnsupportedError`.  The forest is the
+    oracle's BFS tree: element ``k``, first reached as ``elements[parent] * h``,
+    hangs on the edge ``(s, parent)`` of the least ``s`` with image ``h``.  A
+    one-element quotient has an empty forest.
     """
     n = len(q.oracle.elements())
+    first = {q.images[s]: s for s in reversed(range(p.rank))}
+    forest = [first[h] * n + parent
+              for h, parent in (q.oracle.cayley_tree()[1:] if n > 1 else ())]
     columns = [q.oracle.cayley_column(q.images[s]) for s in range(p.rank)]
     inverses = [sorted(range(n), key=column.__getitem__) for column in columns]
     rows = []
@@ -115,7 +126,7 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
         if any(boundary.values()):
             raise InputError("cover boundary matrices do not compose to zero")
     return CoverComplex(presentation=p, quotient=q, domain=domain, rows=rows,
-                        skeleton=Graph(range(n), edges))
+                        skeleton=Graph(range(n), edges), forest=forest)
 
 
 @dataclass
@@ -147,14 +158,17 @@ def _cycle_coordinates(c: CoverComplex):
     isomorphically onto their coordinate lattice: the fundamental cycles are
     a basis, each 1 on its own such edge and 0 on the others, and a cycle
     vanishing there lies on a forest, so it is 0.  Every row of ``d2`` is a
-    cycle because its boundary was verified to vanish.
+    cycle because its boundary was verified to vanish.  The forest is
+    ``c.forest``, the BFS tree the quotient's enumeration recorded.  Row
+    ``r`` of the result is row ``r`` of ``d2``.
     """
-    forest, _ = c.skeleton.spanning_forest()
-    non_forest = [e for e in range(c.skeleton.n_edges()) if e not in forest]
-    position = {e: k for k, e in enumerate(non_forest)}
-    coords = [{position[e]: v for e, v in row.items() if e in position}
+    position = [None] * c.skeleton.n_edges()
+    non_forest = sorted(set(range(len(position))).difference(c.forest))
+    for k, e in enumerate(non_forest):
+        position[e] = k
+    coords = [{position[e]: v for e, v in row.items() if position[e] is not None}
               for row in c.rows]
-    return coords, len(position)
+    return coords, len(non_forest)
 
 
 def homology(c: CoverComplex) -> HomologyReport:
@@ -166,17 +180,21 @@ def homology(c: CoverComplex) -> HomologyReport:
     its resolution over Z[Z] is exact.  It is computed in spanning-forest
     coordinates: H0 is free on the components of the 1-skeleton, and H1 is
     the coordinate lattice of the non-forest edges modulo the restricted rows
-    of ``d2``.  Over Z this is Smith-form exact; over a field the torsion
-    lists are empty and the free ranks are dimensions.
+    of ``d2``.  A coordinate row equal to one already kept is dropped: it adds
+    nothing to the row span, so ranks and Smith invariants stay the same.  A
+    proper-power relator ``u^m`` repeats its row at ``g`` at ``g * u``
+    (Lyndon's cyclic relation module), so each such orbit enters the
+    elimination once.  Over Z this is Smith-form exact; over a field the
+    torsion lists are empty and the free ranks are dimensions.
     """
     coords, n_cycles = _cycle_coordinates(c)
+    coords = list({frozenset(row.items()): row for row in coords}.values())
     if c.domain.is_field:
         h1_free, h1_torsion = n_cycles - field_rank(coords, c.domain), []
     else:
         h1_free, h1_torsion = quotient_invariants(n_cycles, coords)
-    forest_size = c.skeleton.n_edges() - n_cycles
     return HomologyReport(domain=c.domain,
-                          h0_free_rank=len(c.skeleton.vertices) - forest_size,
+                          h0_free_rank=len(c.skeleton.vertices) - len(c.forest),
                           h0_torsion=[], h1_free_rank=h1_free, h1_torsion=h1_torsion)
 
 

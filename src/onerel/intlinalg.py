@@ -191,6 +191,8 @@ def _sparse(rows, coerce=int):
 
 def _rational(x):
     """``x`` over Q: an int when it is integral, otherwise a ``Fraction``."""
+    if isinstance(x, int):
+        return x
     v = Fraction(x)
     return v.numerator if v.denominator == 1 else v
 

@@ -4,7 +4,9 @@ An oracle supplies identity/multiply/invert plus an injective canonical key
 for hashing.  Finite oracles can enumerate all elements (deterministically,
 identity first) up to ``MAX_QUOTIENT_ORDER`` of them, and refuse a larger
 group with :class:`~onerel.errors.UnsupportedError`; their ``cayley_column``
-gives right multiplication by a generator as a map of element indices.
+gives right multiplication by a generator as a map of element indices, and
+:meth:`PermOracle.cayley_tree` the edge by which each element was first
+reached.
 Ordered oracles expose ``compare``, a right-invariant total order.
 """
 
@@ -214,6 +216,7 @@ class PermOracle(GroupOracle):
         self.name = f"Perm{degree}"
         self._elements = None
         self._columns = None     # generator image -> its Cayley-table column
+        self._tree = None        # element index -> (generator image, parent index)
 
     def identity(self):
         return tuple(range(self.degree))
@@ -238,25 +241,36 @@ class PermOracle(GroupOracle):
 
         The search also records the Cayley table: for each generator image
         ``h``, the column ``[idx(g * h) for g in elements]``, which
-        :meth:`cayley_column` returns.
+        :meth:`cayley_column` returns; and the BFS tree, each element's
+        first-reach edge, which :meth:`cayley_tree` returns.  On at most 256
+        points it runs on ``bytes``: ``g.translate(table_h)`` is ``g * h``.
         """
         if self._elements is None:
-            ident = self.identity()
-            index = {ident: 0}
-            order = [ident]
+            d = self.degree
             gens = sorted(set(self.generators))
-            columns = {h: [] for h in gens}
-            for g in order:      # the list grows behind the loop: a FIFO queue
-                for h in gens:
-                    nxt = self.multiply(g, h)
+            if d <= 256:
+                start, step = bytes(range(d)), bytes.translate
+                tables = [bytes(h) + bytes(range(d, 256)) for h in gens]
+            else:
+                start, step, tables = self.identity(), self.multiply, gens
+            index = {start: 0}
+            order = [start]
+            tree = [None]
+            moves = [(h, table, []) for h, table in zip(gens, tables)]
+            for i, g in enumerate(order):   # the list grows behind the loop: a FIFO queue
+                for h, table, column in moves:
+                    nxt = step(g, table)
                     k = index.get(nxt)
                     if k is None:
                         if len(order) == MAX_QUOTIENT_ORDER:
                             raise UnsupportedError(ORDER_REFUSAL)
                         k = index[nxt] = len(order)
                         order.append(nxt)
-                    columns[h].append(k)
-            self._elements, self._columns = order, columns
+                        tree.append((h, i))
+                    column.append(k)
+            self._elements = list(map(tuple, order))
+            self._columns = {h: column for h, _, column in moves}
+            self._tree = tree
         return list(self._elements)
 
     def cayley_column(self, h):
@@ -264,6 +278,17 @@ class PermOracle(GroupOracle):
         if self._columns is None:
             self.elements()
         return list(self._columns[tuple(h)])
+
+    def cayley_tree(self):
+        """The BFS tree of :meth:`elements`: entry ``k`` is ``(h, parent)``.
+
+        Element ``k > 0`` was first reached as ``elements[parent] * h`` for the
+        generator image ``h``, so ``parent < k``; entry 0, the identity, is
+        ``None``.
+        """
+        if self._tree is None:
+            self.elements()
+        return list(self._tree)
 
     def is_transitive(self):
         reached = {0}

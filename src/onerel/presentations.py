@@ -202,8 +202,9 @@ def parse_quotient(text, names) -> dict:
     missing = [g for g in names if g not in raw]
     if missing:
         raise InputError(f"quotient is missing images for {missing}")
-    degree = max((len(parse_permutation(p)) for p in raw.values()), default=1)
-    return {g: parse_permutation(raw[g], degree) for g in names}
+    images = {g: parse_permutation(perm) for g, perm in raw.items()}
+    degree = max(map(len, images.values()), default=1)
+    return {g: images[g] + tuple(range(len(images[g]), degree)) for g in names}
 
 
 def _strip_comment(line):

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,7 @@ from onerel.errors import InputError, UnsupportedError
 from onerel.foxcalc import QuotientMap, jacobian
 from onerel.graphs import Graph
 from onerel.groupring import GroupRingElement
-from onerel.oracles import PermOracle, parse_permutation
+from onerel.oracles import MAX_QUOTIENT_ORDER, PermOracle, parse_permutation
 from onerel.presentations import Presentation, parse_presentation
 from onerel.words import Word, free_reduce
 
@@ -186,7 +187,8 @@ class TestHomology:
             skeleton = Graph(range(len(verts)),
                              [(new_vertex[c.skeleton.edges[e][0]],
                                new_vertex[c.skeleton.edges[e][1]]) for e in cols])
-            shuffled = replace(c, rows=shuffled_rows, skeleton=skeleton)
+            shuffled = replace(c, rows=shuffled_rows, skeleton=skeleton,
+                               forest=[new_edge[e] for e in c.forest])
             assert not any(map(any, mat_mul(shuffled.d2, shuffled.d1)))
             assert shuffled.d2 == [[c.d2[r][e] for e in cols] for r in rows]
             assert shuffled.d1 == [[c.d1[e][v] for v in verts] for e in cols]
@@ -245,7 +247,11 @@ def sympy_factors(mat):
 
 
 def random_killed_cover(rng):
-    """Two generators on at most 4 points; relators u^k with k the order of u."""
+    """Two generators on at most 4 points; relators u^k or u^(2k), k the order of u.
+
+    The cover repeats a relator's row at ``g`` at ``g * u``, and under
+    ``u^(2k)`` those repeated rows carry coefficients 2 and -2.
+    """
     degree = rng.randrange(2, 5)
     images = {g: tuple(rng.sample(range(degree), degree)) for g in ("a", "b")}
     free = QuotientMap.permutation(Presentation(["a", "b"], []), images)
@@ -256,7 +262,7 @@ def random_killed_cover(rng):
         img, k = free.apply(u), 1
         while free.oracle.key(img) != ident:
             img, k = free.oracle.multiply(img, free.apply(u)), k + 1
-        relators.append(free_reduce(list(u.letters) * k))
+        relators.append(free_reduce(list(u.letters) * k * rng.randrange(1, 3)))
     p = Presentation(["a", "b"], relators)
     return p, QuotientMap.permutation(p, images)
 
@@ -368,6 +374,68 @@ def test_table_cover_against_tuple_products(cover):
                                 for k, head in enumerate(products(h))]
 
 
+def tuple_bfs(oracle):
+    """Elements and columns by tuple products, in the enumeration's BFS order."""
+    gens = sorted(set(oracle.generators))
+    order = [oracle.identity()]
+    index = {order[0]: 0}
+    columns = {h: [] for h in gens}
+    for g in order:
+        for h in gens:
+            nxt = oracle.multiply(g, h)
+            if nxt not in index:
+                if len(order) == MAX_QUOTIENT_ORDER:
+                    return None, None
+                index[nxt] = len(order)
+                order.append(nxt)
+            columns[h].append(index[nxt])
+    return order, columns
+
+
+def check_enumeration(oracle):
+    """Elements and columns against ``tuple_bfs``; the tree against the columns."""
+    order, columns = tuple_bfs(oracle)
+    if order is None:
+        with pytest.raises(UnsupportedError):
+            oracle.elements()
+        return
+    assert oracle.elements() == order
+    assert {h: oracle.cayley_column(h) for h in columns} == columns
+    tree = oracle.cayley_tree()
+    assert len(tree) == len(order) and tree[0] is None
+    for k, (h, parent) in enumerate(tree[1:], 1):
+        assert h in columns and parent < k
+        assert oracle.cayley_column(h)[parent] == k
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda degree: st.lists(
+    st.permutations(range(degree)).map(tuple), min_size=1, max_size=3)))
+def test_bytes_enumeration_against_tuple_products(generators):
+    """The bytes BFS gives the tuple products' elements, columns and a tree."""
+    check_enumeration(PermOracle(len(generators[0]), generators))
+
+
+def test_enumeration_above_256_points_uses_tuples():
+    """A degree past a byte's range is enumerated on tuples, in the same order."""
+    rotation = tuple((i + 1) % 300 for i in range(300))
+    flip = tuple((-i) % 300 for i in range(300))
+    oracle = PermOracle(300, [rotation, flip])
+    check_enumeration(oracle)
+    assert len(oracle.elements()) == 600
+
+
+def test_forest_is_a_spanning_tree_of_the_skeleton(rng):
+    """The enumeration's tree, as cover edges, spans the connected skeleton."""
+    for c in fixed_and_random_covers(rng):
+        tree, parent = c.skeleton.spanning_forest(edge_subset=c.forest)
+        assert tree == set(c.forest)            # no forest edge closes a cycle
+        assert list(parent.values()).count(None) == 1
+    p = parse_presentation("gens: a, b\nrels: a^3*b^-2")
+    c = build_cover_complex(p, QuotientMap.trivial(p))
+    assert c.forest == [] and homology(c).h0_free_rank == 1
+
+
 def incidence_rows(graph):
     """Edge rows of the incidence matrix: +1 at the head, -1 at the tail."""
     rows = []
@@ -410,8 +478,11 @@ class TestAgainstSympy:
             assert (h.h1_free_rank, h.h1_torsion) == (0, [])
 
     def test_homology_and_universal_coefficients(self, rng):
-        torsion_seen = 0
+        torsion_seen = doubled_repeats = 0
         for c in fixed_and_random_covers(rng):
+            repeats = Counter(frozenset(row.items()) for row in c.rows)
+            doubled_repeats += any(n > 1 and any(abs(v) > 1 for _, v in row)
+                                   for row, n in repeats.items())
             n_edges, n_vertices = len(c.d1), len(c.d1[0])
             rank_d1 = sympy_rank(c.d1)
             f1, f2 = sympy_factors(c.d1), sympy_factors(c.d2)
@@ -428,6 +499,7 @@ class TestAgainstSympy:
                 hp = homology(replace(c, domain=PrimeFieldDomain(p)))
                 assert hp.h1_free_rank == b1 + sum(1 for d in torsion if d % p == 0)
         assert torsion_seen >= 2
+        assert doubled_repeats >= 2
 
     def test_generation_check_on_row_subsets(self, rng):
         spanning_subsets = 0

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onerel.errors import InputError
-from onerel.presentations import (Presentation, parse_presentation, parse_word)
+from onerel.presentations import (Presentation, parse_presentation, parse_quotient,
+                                  parse_word)
 from onerel.words import Word
 
 
@@ -93,6 +94,14 @@ class TestPresentationFiles:
             "gens: a, b\nrels: a^2\nquotient: a -> (1 2), b -> ()\n")
         assert p.quotient_images["a"] == (1, 0)
         assert p.quotient_images["b"] == (0, 1)
+
+    def test_quotient_images_padded_to_the_largest_degree(self):
+        images = parse_quotient("b -> (1 3), a -> (), c -> (2 4)", ["a", "b", "c"])
+        assert images == {"a": (0, 1, 2, 3), "b": (2, 1, 0, 3), "c": (0, 3, 2, 1)}
+
+    def test_quotient_reports_its_first_bad_image(self):
+        with pytest.raises(InputError, match="'x'"):
+            parse_quotient("b -> (1 x), a -> (1 y)", ["a", "b"])
 
     def test_quotient_missing_generator(self):
         with pytest.raises(InputError):
