@@ -41,6 +41,10 @@ THREE_GENS_S4 = "a -> (3 4), b -> (1 2), c -> (2 3 4)"
 TRIANGLES = {"triangle_234": f"{INPUTS}/triangle_234.grp",
              "triangle_434": f"{INPUTS}/triangle_434.grp"}
 TRIANGLE_S4 = "a -> (1 2), b -> (2 3 4)"
+# <a, b | a^4*b^-6> at an order-360 quotient where a^2 and b^3 are not 1: its
+# cover over Z has torsion, H1 = Z^152 + (Z/2)^119
+POWER_TREFOIL = f"{INPUTS}/power_trefoil.grp"
+POWER_TREFOIL_360 = "a -> (1 4 3 2)(5 6), b -> (1 6 2)(3 4 5)"
 
 # trefoil quotients <a, b | a^2*b^-3> by group order
 LADDER = {
@@ -130,6 +134,10 @@ def _cases():
             out += _both(f"complex_{name}_24_{tag}",
                          ["complex", "--file", path, "--quotient", TRIANGLE_S4,
                           "--ring", ring])
+    for ring, tag in (("Z", "z"), ("2", "f2")):
+        out += _both(f"complex_power_trefoil_360_{tag}",
+                     ["complex", "--file", POWER_TREFOIL, "--quotient", POWER_TREFOIL_360,
+                      "--ring", ring])
 
     for name, path in (("trefoil", TREFOIL), ("torus", TORUS), ("bs12", BS12),
                        ("cyclic6", CYCLIC6),
@@ -210,6 +218,11 @@ def _cases():
                  ["jacobian", "--file", f"{INPUTS}/bad_chunk.grp"])
     out += _both("quotient_stanza_unknown_name",
                  ["jacobian", "--file", f"{INPUTS}/unknown_name.grp"])
+    out += _both("quotient_stanza_duplicate_name",
+                 ["jacobian", "--file", f"{INPUTS}/duplicate_name.grp"])
+    out += _both("quotient_option_duplicate_name",
+                 ["jacobian", "--file", TREFOIL, "--quotient",
+                  "a -> (1 2 3), a -> (1 2), b -> (1 2 3)"])
     out += _both("quotient_option_missing_image",
                  ["complex", "--file", TREFOIL, "--quotient", "a -> (1 2)"])
     out += _both("quotient_option_bad_permutation",
