@@ -1,4 +1,4 @@
-"""Exact linear algebra: unit-pivot elimination over Z, one echelon over fields.
+"""Exact linear algebra: one sparse Smith kernel over Z, one echelon over fields.
 
 A matrix is a list of rows, each a dense list or a sparse dict
 ``{column: value}``.  Conventions are row-centric throughout: lattices are
@@ -9,22 +9,27 @@ Python's arbitrary-precision ints; field routines take a
 mod p over F_p, and over Q on ints where a value is integral and on
 ``Fraction`` elsewhere.
 
-Over Z, :func:`_eliminate` takes only +-1 pivots, in Markowitz order: such a
-row-and-column step is unimodular (a reduction in the sense of Kaczynski,
-Mrozek and Slusarek, Comput. Math. Appl. 35, 1998), so each contributes a
-Smith invariant 1 and leaves the invariants of the rest alone, as in the
-elimination-based Smith form of Dumas, Saunders and Villard (J. Symbolic
-Comput. 32, 2001).  The core left without a unit entry goes to the dense
-:func:`snf_invariants`.  Over a field every route goes through one sparse
-row echelon form, :func:`_echelon`, which eliminates in column order: its
-length is the rank, and :func:`nullspace` back-substitutes it into the
+Over Z one sparse kernel, :func:`_eliminate`, gives the Smith invariants:
+each pivot divides every entry of its row and of its column, so clearing it
+splits off a cyclic factor of the cokernel.  Unit pivots come first, in
+Markowitz order; each such row-and-column step is unimodular (a reduction in
+the sense of Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998),
+as in the elimination-based Smith form of Dumas, Saunders and Villard
+(J. Symbolic Comput. 32, 2001).  Rows without a unit entry are reduced by
+Euclidean steps to such a pivot, as in the sparse elimination of Havas, Holt
+and Rees (Linear Algebra Appl. 192, 1993) and Havas and Majewski
+(J. Symbolic Comput. 24, 1997), and :func:`_invariants` combines the cyclic
+orders into invariant factors.  Over a field every route goes through one
+sparse row echelon form, :func:`_echelon`, which eliminates in column order:
+its length is the rank, and :func:`nullspace` back-substitutes it into the
 canonical reduced form.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError
 
@@ -121,62 +126,6 @@ def solve_left(mat, target):
     return x
 
 
-def snf_invariants(mat):
-    """Nonzero diagonal invariants d1 | d2 | ... of the Smith normal form."""
-    m = [list(r) for r in mat]
-    rows, cols = len(m), (len(m[0]) if m else 0)
-    invariants = []
-    top = 0
-    while top < rows and top < cols:
-        # locate a nonzero entry with minimal absolute value
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        _swap(m, top, bi)
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        # clear the pivot row and column
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                    if m[i][top]:
-                        _swap(m, top, i)
-                        dirty = True
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for row in m:
-                        row[j] -= q * row[top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-        # divisibility fix-up: pivot must divide the remaining block
-        fixed = False
-        for i in range(top + 1, rows):
-            if fixed:
-                break
-            for j in range(top + 1, cols):
-                if m[i][j] % m[top][top]:
-                    m[top] = [x + y for x, y in zip(m[top], m[i])]
-                    fixed = True
-                    break
-        if fixed:
-            continue
-        invariants.append(abs(m[top][top]))
-        top += 1
-    return invariants
-
-
 # -- the sparse kernel --------------------------------------------------------
 
 
@@ -228,38 +177,92 @@ def _subtract(row, f, pivot, p=0):
     return flipped
 
 
-def _eliminate(rows):
-    """Pivot the +-1 entries of integer ``rows`` (sparse, modified in place) away.
+def _tquot(y, x):
+    """The quotient of ``y`` by ``x`` truncated toward zero.
 
-    Returns the pivot count.  Pivots follow Markowitz's rule, least
-    ``(row nnz - 1) * (column nnz - 1)``, in its restricted form: the shortest
-    row that holds a +-1 entry comes off a queue of rows bucketed by length,
-    and of its +-1 entries the one in the shortest column is taken.  A pivot
-    clears its column from the other rows, each of which is queued again, and
-    then leaves with its row and column: the rows left nonempty hold no +-1
-    entry.
+    It is 0 when ``|y| < |x|``, where a floored quotient may be -1 and add
+    fill without making the entry smaller.
+    """
+    q = abs(y) // abs(x)
+    return q if (y < 0) == (x < 0) else -q
+
+
+def _euclid(rows, cols, waiting, i):
+    """Euclidean steps from the least entry of row ``i`` to a pivot ``(i, j)``.
+
+    The pivot's column is cleared by row operations, each row queued again,
+    and then its row is reduced by column operations, which change no other
+    row once the column is clear.  A nonzero remainder is smaller than the
+    pivot and takes its place, so the steps end at a pivot alone in its
+    column that divides its row.
+    """
+    row = rows[i]
+    j = min(row, key=lambda j: abs(row[j]))
+    while True:
+        x = row[j]
+        for k in cols[j] - {i}:
+            other = rows[k]
+            if q := _tquot(other[j], x):
+                for jj in _subtract(other, q, row):
+                    cols[jj].symmetric_difference_update((k,))
+                if other:
+                    waiting[len(other)].append(k)
+        if rest := cols[j] - {i}:
+            i = min(rest, key=lambda k: abs(rows[k][j]))
+            row = rows[i]
+            continue
+        off = {jj: y - _tquot(y, x) * x for jj, y in row.items() if y % x}
+        if not off:
+            return i, j
+        row.update(off)
+        j = min(off, key=lambda jj: abs(off[jj]))
+
+
+def _eliminate(rows):
+    """Pivot integer ``rows`` (sparse, modified in place) away.
+
+    Returns the pivot count, which is the rank, and the orders |x| > 1 of the
+    pivots x that are not units.  A pivot divides every entry of its row and
+    of its column, so clearing both splits off a cyclic factor Z/|x| of the
+    cokernel.  The +-1 pivots come first, in
+    Markowitz's restricted order, least ``(row nnz - 1) * (column nnz - 1)``:
+    the shortest row that holds a +-1 entry comes off a queue of rows bucketed
+    by length, and of its +-1 entries the one in the shortest column is
+    taken.  A row without one waits in a second queue, which is used only
+    when no unit pivot is left: :func:`_euclid` brings the least entry of its
+    shortest row to a pivot.  A pivot clears its column from the other rows,
+    each of which is queued again, and then leaves with its row and column.
     """
     cols = defaultdict(set)
     waiting = defaultdict(list)     # row length -> rows queued at that length
+    stuck = defaultdict(list)       # the same for rows found without a +-1 entry
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
         if row:
             waiting[len(row)].append(i)
-    pivots = 0
-    while waiting:
-        width = min(waiting)
-        i = waiting[width].pop()
-        if not waiting[width]:
-            del waiting[width]
+    pivots, orders = 0, []
+    while waiting or stuck:
+        queue = waiting or stuck
+        width = min(queue)
+        i = queue[width].pop()
+        if not queue[width]:
+            del queue[width]
         row = rows[i]
         if len(row) != width:
             continue        # changed since it was queued; queued again then
-        units = [j for j, x in row.items() if x == 1 or x == -1]
-        if not units:
-            continue
-        j = min(units, key=lambda j: len(cols[j]))
-        u = row[j]          # its own inverse
+        if queue is stuck:
+            i, j = _euclid(rows, cols, waiting, i)
+            row = rows[i]
+            if abs(row[j]) > 1:
+                orders.append(abs(row[j]))
+        else:
+            units = [j for j, x in row.items() if x == 1 or x == -1]
+            if not units:
+                stuck[width].append(i)
+                continue
+            j = min(units, key=lambda j: len(cols[j]))
+        u = row[j]          # +-1, its own inverse, unless the column is clear
         for jj in row:
             cols[jj].discard(i)
         for k in list(cols[j]):
@@ -270,24 +273,30 @@ def _eliminate(rows):
                 waiting[len(other)].append(k)
         rows[i] = {}
         pivots += 1
-    return pivots
+    return pivots, orders
 
 
-def _invariants(rows):
-    """Nonzero Smith invariants of an integer matrix: unit pivots, then the core."""
-    rows = _sparse(rows)
-    ones = [1] * _eliminate(rows)
-    core = [row for row in rows if row]
-    if not core:
-        return ones
-    cols = sorted({j for row in core for j in row})
-    return ones + snf_invariants([[row.get(j, 0) for j in cols] for row in core])
+def _invariants(orders):
+    """Invariant factors d1 | d2 | ... > 1 of the sum of the groups Z/n, n in ``orders``.
+
+    Orders that do not divide one another are exchanged pairwise, Z/a + Z/b
+    = Z/gcd(a, b) + Z/lcm(a, b), the copies of one pair together, so no order
+    is factored.
+    """
+    counts = Counter(orders)
+    while pair := next(((a, b) for a in counts for b in counts if a < b and b % a), None):
+        a, b = pair
+        m, g = min(counts[a], counts[b]), gcd(a, b)
+        counts.subtract({a: m, b: m})
+        counts.update({g: m, a // g * b: m})
+        counts = +counts
+    return sorted(d for d in counts.elements() if d > 1)
 
 
 def quotient_invariants(ambient_rank, relation_rows):
     """Structure of Z^ambient_rank / rowspan as (free_rank, torsion factors)."""
-    inv = _invariants(relation_rows)
-    return ambient_rank - len(inv), [d for d in inv if d > 1]
+    rank, orders = _eliminate(_sparse(relation_rows))
+    return ambient_rank - rank, _invariants(orders) if orders else orders
 
 
 # -- field linear algebra ----------------------------------------------------
@@ -303,11 +312,12 @@ def spans_saturated(rows, rank, domain):
 
     Over a field the lattice is a subspace and this is a rank count.  Over Z
     equal rank leaves ``lattice / span`` torsion, and saturation makes it the
-    torsion of ``Z^n / span``, so the Smith invariants must be ``rank`` ones.
+    torsion of ``Z^n / span``, so the Smith invariants must be ``rank`` ones:
+    the kernel takes ``rank`` pivots, every one a unit.
     """
     if domain.is_field:
         return field_rank(rows, domain) == rank
-    return _invariants(rows) == [1] * rank
+    return _eliminate(_sparse(rows)) == (rank, [])
 
 
 def _echelon(rows, p):

@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 
 import pytest
 
@@ -274,6 +275,33 @@ class TestDispatch:
         assert results["group_order"] == MAX_QUOTIENT_ORDER == 5040
         assert (results["homology"]["h1_free_rank"],
                 results["homology"]["h1_torsion"]) == (842, [])
+
+    # relators whose order-5040 covers leave rows without a unit entry, with
+    # H1 over Z, F2 and F3 as (free rank, {torsion order: count}); the
+    # F_p ranks agree with Z through the universal coefficient theorem
+    @pytest.mark.parametrize("relator, ring, expected", [
+        ("a^4*b^-6", "Z", (842, {2: 4199})),
+        ("a^4*b^-6", "2", (5041, {})),
+        ("a^4*b^-6", "3", (842, {})),
+        ("a^6*b^-9", "Z", (842, {3: 4199})),
+        ("a^2*b*a^2*b^-1", "Z", (2521, {2: 1})),
+    ])
+    def test_order_5040_covers_without_unit_entries(self, tmp_path, relator, ring,
+                                                    expected):
+        path = tmp_path / "power.grp"
+        path.write_text(f"gens: a, b\nrels: {relator}\n")
+        start = time.perf_counter()
+        status, report, _ = dispatch(
+            ["complex", "--file", str(path), "--quotient",
+             "a -> (1 4)(2 6)(5 7), b -> (1 6 3)(2 5 4)", "--ring", ring])
+        elapsed = time.perf_counter() - start
+        assert status == 0
+        homology = report["results"]["homology"]
+        torsion = {}
+        for d in homology["h1_torsion"]:
+            torsion[d] = torsion.get(d, 0) + 1
+        assert (homology["h1_free_rank"], torsion) == expected
+        assert elapsed < 20, f"{relator} over {ring} took {elapsed:.1f} s"
 
     def test_domain_error_exit_one(self):
         status, report, text = dispatch(

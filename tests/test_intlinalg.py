@@ -8,9 +8,9 @@ from sympy.polys.matrices import DomainMatrix
 from onerel.covers import _cycle_coordinates, build_cover_complex
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
 from onerel.foxcalc import QuotientMap
-from onerel.intlinalg import (_eliminate, _sparse, field_rank, nullspace,
-                              quotient_invariants, row_hnf_transform, snf_invariants,
-                              solve_left, spans_saturated)
+from onerel.intlinalg import (_eliminate, _sparse, _tquot, field_rank, nullspace,
+                              quotient_invariants, row_hnf_transform, solve_left,
+                              spans_saturated)
 from onerel.presentations import parse_presentation, parse_quotient
 
 from conftest import mat_mul
@@ -28,8 +28,8 @@ class TestHermite:
             h, u = row_hnf_transform(m)
             assert mat_mul(u, m) == h
             # unimodular: integer inverse exists, so determinant is +-1;
-            # check via SNF invariants all equal 1
-            assert snf_invariants(u) == [1] * len(u)
+            # check via Smith invariants all equal 1
+            assert quotient_invariants(len(u), u) == (0, [])
 
     def test_canonical_under_row_shuffle(self, rng):
         def nonzero_rows(m):
@@ -78,16 +78,17 @@ class TestSolve:
 class TestSmith:
     def test_divisor_chain(self, rng):
         for _ in range(60):
-            m = random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
-            inv = snf_invariants(m)
+            cols = rng.randrange(1, 5)
+            m = random_matrix(rng, rng.randrange(1, 5), cols)
+            inv = smith_from_quotient(cols, m)
             for d1, d2 in zip(inv, inv[1:]):
                 assert d2 % d1 == 0
             assert all(d > 0 for d in inv)
 
     def test_known_forms(self):
-        assert snf_invariants([[2, 0], [0, 3]]) == [1, 6]
-        assert snf_invariants([[n] for n in (12,)]) == [12]
-        assert snf_invariants([[0, 0], [0, 0]]) == []
+        assert smith_from_quotient(2, [[2, 0], [0, 3]]) == [1, 6]
+        assert smith_from_quotient(1, [[n] for n in (12,)]) == [12]
+        assert smith_from_quotient(2, [[0, 0], [0, 0]]) == []
 
     def test_quotient_invariants(self):
         free, torsion = quotient_invariants(3, [[2, 0, 0], [0, 3, 0]])
@@ -96,7 +97,7 @@ class TestSmith:
     def test_rank_matches_rational_rank(self, rng):
         for _ in range(40):
             m = random_matrix(rng, 3, 4)
-            assert len(snf_invariants(m)) == field_rank(m, QQ)
+            assert len(smith_from_quotient(4, m)) == field_rank(m, QQ)
 
 
 class TestFieldOps:
@@ -141,9 +142,8 @@ class TestAgainstSympy:
     def test_smith_invariants(self, rng):
         torsion = 0
         for m, cols in random_shapes(rng):
-            expected = [int(d) for d in
-                        invariant_factors(sympy_matrix(m, cols), domain=SYMPY_ZZ) if d]
-            assert snf_invariants(m) == expected, m
+            expected = sympy_invariants(m, cols)
+            assert smith_from_quotient(cols, m) == expected, m
             torsion += any(d > 1 for d in expected)
         assert torsion >= 50
 
@@ -183,8 +183,9 @@ def sympy_rank(m, cols, p=None):
         SYMPY_QQ if p is None else GF(p)).rank()
 
 
-# Covers whose cycle coordinates keep a core with no unit entry: <a | a^6> at
-# a 3-cycle (H1 = Z/2) and torus-knot covers with torsion.
+# Covers whose cycle coordinates keep a core with no unit entry once the unit
+# pivots are gone: <a | a^6> at a 3-cycle (H1 = Z/2) and torus-knot covers
+# with torsion.
 CORE_COVERS = {
     "a6": ("gens: a\nrels: a^6", "a -> (1 2 3)", (0, [2])),
     "t35": ("gens: a, b\nrels: a^3*b^-5", "a -> (1 2)(3 4 5), b -> (1 2)", (1, [5, 5])),
@@ -197,11 +198,11 @@ CORE_COVERS = {
 class TestKernel:
     """The sparse kernel against sympy, the dense Smith form and each other."""
 
-    def test_smith_invariants_against_sympy_and_dense(self, rng):
+    def test_smith_invariants_against_sympy(self, rng):
         without_unit = 0
         for m, cols in kernel_cases(rng):
             expected = sympy_invariants(m, cols)
-            assert smith_from_quotient(cols, m) == expected == snf_invariants(m), m
+            assert smith_from_quotient(cols, m) == expected, m
             sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
             assert smith_from_quotient(cols, sparse) == expected, m
             without_unit += any(any(row) and 1 not in row and -1 not in row for row in m)
@@ -236,14 +237,50 @@ class TestKernel:
         p = parse_presentation(text)
         q = QuotientMap.permutation(p, parse_quotient(images, p.names))
         coords, n_cycles = _cycle_coordinates(build_cover_complex(p, q))
-        rows = _sparse(coords)
-        _eliminate(rows)
-        assert any(rows), "the unit pivots left no core"
+        assert _eliminate(_sparse(coords))[1], "no non-unit pivot was taken"
         dense = [[row.get(j, 0) for j in range(n_cycles)] for row in coords]
         factors = sympy_invariants(dense, n_cycles)
-        assert snf_invariants(dense) == factors
         assert quotient_invariants(n_cycles, coords) == expected == (
             n_cycles - len(factors), [d for d in factors if d > 1])
+
+    def test_products_of_random_matrices(self, rng):
+        """A product has the Smith invariants of neither factor, and few units."""
+        torsion = 0
+        for _ in range(150):
+            inner, cols = rng.randrange(1, 5), rng.randrange(1, 6)
+            a = random_matrix(rng, rng.randrange(1, 6), inner, bound=3)
+            m = mat_mul(a, random_matrix(rng, inner, cols, bound=3))
+            expected = sympy_invariants(m, cols)
+            assert smith_from_quotient(cols, m) == expected, m
+            torsion += any(d > 1 for d in expected)
+        assert torsion >= 50
+
+    def test_block_diagonal_torsion(self):
+        """Cyclic orders are combined into invariant factors by gcd and lcm."""
+        assert smith_from_quotient(2, [[2, 0], [0, 3]]) == [1, 6]
+        assert smith_from_quotient(3, [[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
+        orders = [2] * 50 + [3] * 30 + [4] * 5
+        diagonal = [{k: d} for k, d in enumerate(orders)]
+        assert smith_from_quotient(len(orders), diagonal) == (
+            [1] * 30 + [2] * 25 + [6] * 25 + [12] * 5)
+
+    def test_a_long_column_of_twos(self, rng):
+        for n in (1, 2, 500):
+            column = [[rng.choice((2, -2))] for _ in range(n)]
+            assert quotient_invariants(1, column) == (0, [2])
+            assert quotient_invariants(3, [row + [0, 2 * row[0]] for row in column]) == (
+                2, [2])
+
+    def test_unit_and_two_rows_with_mixed_signs(self, rng):
+        """Entries of either sign smaller than the pivot leave their rows as
+        they are: the quotient is truncated, not floored."""
+        assert [_tquot(y, x) for y, x in ((-1, 2), (1, -2), (-5, 2), (5, -2), (6, 3))] == [
+            0, 0, -2, -2, 2]
+        for _ in range(150):
+            cols = rng.randrange(1, 7)
+            m = [[rng.choice((0, 0, 1, -1, 2, -2, 2, -2)) for _ in range(cols)]
+                 for _ in range(rng.randrange(1, 7))]
+            assert smith_from_quotient(cols, m) == sympy_invariants(m, cols), m
 
     def test_nullspace_against_sympy_over_q(self, rng):
         """The basis is sympy's, vector for vector: both read it off the unique
