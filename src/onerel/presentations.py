@@ -184,8 +184,8 @@ def parse_word(text, names) -> Word:
 def parse_quotient(text, names) -> dict:
     """Permutation images from ``a -> (1 2 3), b -> ()``, keyed by name.
 
-    Every generator in ``names`` needs an image; all images are taken on the
-    largest number of points any of them mentions.
+    Every generator in ``names`` needs exactly one image; all images are
+    taken on the largest number of points any of them mentions.
     """
     raw = {}
     for chunk in re.split(r",(?![^()]*\))", text):
@@ -198,6 +198,8 @@ def parse_quotient(text, names) -> dict:
         gname = gname.strip()
         if gname not in names:
             raise InputError(f"quotient names unknown generator {gname!r}")
+        if gname in raw:
+            raise InputError(f"quotient names generator {gname!r} twice")
         raw[gname] = perm.strip()
     missing = [g for g in names if g not in raw]
     if missing:

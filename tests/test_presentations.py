@@ -103,6 +103,13 @@ class TestPresentationFiles:
         with pytest.raises(InputError, match="'x'"):
             parse_quotient("b -> (1 x), a -> (1 y)", ["a", "b"])
 
+    def test_quotient_naming_a_generator_twice_is_refused(self):
+        # the first image of a does not kill a^2, the last one does
+        with pytest.raises(InputError, match="'a' twice"):
+            parse_quotient("a -> (1 2 3), a -> (1 2), b -> (1 2 3)", ["a", "b"])
+        with pytest.raises(InputError, match="'a' twice"):
+            parse_presentation("gens: a, b\nrels: a^2\nquotient: a -> (1 2), b -> (), a -> ()")
+
     def test_quotient_missing_generator(self):
         with pytest.raises(InputError):
             parse_presentation("gens: a, b\nrels: a\nquotient: a -> (1 2)")
