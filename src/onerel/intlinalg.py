@@ -224,14 +224,14 @@ def _eliminate(rows):
     Returns the pivot count, which is the rank, and the orders |x| > 1 of the
     pivots x that are not units.  A pivot divides every entry of its row and
     of its column, so clearing both splits off a cyclic factor Z/|x| of the
-    cokernel.  The +-1 pivots come first, in
-    Markowitz's restricted order, least ``(row nnz - 1) * (column nnz - 1)``:
-    the shortest row that holds a +-1 entry comes off a queue of rows bucketed
-    by length, and of its +-1 entries the one in the shortest column is
-    taken.  A row without one waits in a second queue, which is used only
-    when no unit pivot is left: :func:`_euclid` brings the least entry of its
-    shortest row to a pivot.  A pivot clears its column from the other rows,
-    each of which is queued again, and then leaves with its row and column.
+    cokernel.  The +-1 pivots come first, in Markowitz's restricted order,
+    least ``(row nnz - 1) * (column nnz - 1)``: the shortest row that holds a
+    +-1 entry comes off a queue of rows bucketed by length, and of its +-1
+    entries the one in the shortest column is taken.  A row without one waits
+    in a second queue, which is used only when no unit pivot is left:
+    :func:`_euclid` brings the least entry of its shortest row to a pivot.  A
+    pivot clears its column from the other rows, each of which is queued
+    again, and then leaves with its row and column.
     """
     cols = defaultdict(set)
     waiting = defaultdict(list)     # row length -> rows queued at that length
@@ -254,8 +254,8 @@ def _eliminate(rows):
         if queue is stuck:
             i, j = _euclid(rows, cols, waiting, i)
             row = rows[i]
-            if abs(row[j]) > 1:
-                orders.append(abs(row[j]))
+            if (order := abs(row[j])) > 1:
+                orders.append(order)
         else:
             units = [j for j, x in row.items() if x == 1 or x == -1]
             if not units:

@@ -1,6 +1,7 @@
 import gc
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -297,10 +298,7 @@ class TestDispatch:
         elapsed = time.perf_counter() - start
         assert status == 0
         homology = report["results"]["homology"]
-        torsion = {}
-        for d in homology["h1_torsion"]:
-            torsion[d] = torsion.get(d, 0) + 1
-        assert (homology["h1_free_rank"], torsion) == expected
+        assert (homology["h1_free_rank"], Counter(homology["h1_torsion"])) == expected
         assert elapsed < 20, f"{relator} over {ring} took {elapsed:.1f} s"
 
     def test_domain_error_exit_one(self):
