@@ -94,6 +94,9 @@ def _cases():
                  ["jacobian", "--file", BS12, "--abelianize"])
     out += _both("jacobian_quotient_not_killing",
                  ["jacobian", "--file", TREFOIL, "--quotient", "a -> (1 2 3), b -> ()"])
+    # over F5 the coefficient -1 is 4, printed with a minus sign
+    out += _both("jacobian_trefoil_quotient_f5",
+                 ["jacobian", "--file", TREFOIL, "--quotient", LADDER[6], "--ring", "5"])
 
     out += _both("trapezoid_trefoil", ["trapezoid", "--file", TREFOIL])
     out += _both("trapezoid_ordered",
@@ -163,6 +166,9 @@ def _cases():
                                 "--B", "0:0,1:1", "--k", "3"])
     out += _both("upcheck_mod", ["upcheck", "--oracle", "mod:4", "--A", "0,2",
                                  "--B", "0,2", "--k", "1", "--side", "right"])
+    # 3 and -1 are 0 and 2 mod 3: A has two elements, not three
+    out += _both("upcheck_mod_out_of_range", ["upcheck", "--oracle", "mod:3",
+                                              "--A", "0,3,-1", "--B", "0,1", "--k", "2"])
     out += _both("upcheck_free", ["upcheck", "--oracle", "free:a+b",
                                   "--A", "a,b,a*b", "--B", "1,b^-1", "--k", "2"])
     out += _both("upcheck_bad_oracle",
@@ -172,6 +178,9 @@ def _cases():
                  ["engulf", "--cyclic", "2", "--coeffs", "1,1", "--field", "3"])
     out += _both("engulf_cyclic_q",
                  ["engulf", "--cyclic", "5", "--coeffs", "1,-1,0,2", "--side", "right"])
+    # the fourth coefficient sits at g^3 = 1 and merges with the first: 3 + g + g^2
+    out += _both("engulf_cyclic_wraps",
+                 ["engulf", "--cyclic", "3", "--coeffs=1,1,1,2", "--field", "5"])
     out += _both("engulf_cyclic6",
                  ["engulf", "--file", CYCLIC6, "--terms", "1:1;a:1;b:-1"])
     out += _both("engulf_trefoil_quotient",
@@ -231,6 +240,9 @@ def _cases():
     out += _both("bad_ring", ["jacobian", "--file", TREFOIL, "--ring", "R"])
     fox_ring = ["fox", "--file", TREFOIL, "--word", "a*b^-1", "--gen", "b", "--ring"]
     out += _both("fox_ring_f2", fox_ring + ["2"])
+    # over F3 the coefficient -1 is 2, printed with a minus sign
+    out += _both("fox_ring_f3", ["fox", "--file", TREFOIL, "--word", "a^-2*b", "--gen", "a",
+                                 "--ring", "3"])
     out += _both("fox_ring_bogus", fox_ring + ["bogus"])
     out += _both("hierarchy_ring_bogus", ["hierarchy", "--file", TREFOIL, "--ring", "bogus"])
     out += _both("weinbaum_ring_bogus", ["weinbaum", "--file", CYCLIC6, "--ring", "bogus"])
