@@ -197,7 +197,8 @@ def _make_oracle(spec):
     if spec in ("z2", "Z2"):
         return ZPowOracle(2), lambda s: tuple(_integer(x, "element") for x in s.split(":"))
     if spec.startswith("mod:"):
-        return ModOracle(_integer(spec[4:], "modulus")), lambda s: _integer(s, "element")
+        oracle = ModOracle(_integer(spec[4:], "modulus"))
+        return oracle, lambda s: _integer(s, "element") % oracle.n
     if spec.startswith("free:"):
         names = [n.strip() for n in spec[5:].split("+")]
         oracle = FreeOracle(names)
@@ -236,7 +237,8 @@ def _cmd_engulf(args):
         domain = parse_domain(args.field)
         coeffs = [_integer(c, "coefficient")
                   for c in _required(args.coeffs, "--cyclic needs --coeffs").split(",")]
-        m = GroupRingElement(oracle, domain, list(enumerate(coeffs)))
+        m = GroupRingElement(oracle, domain,
+                             [(i % oracle.n, c) for i, c in enumerate(coeffs)])
     else:
         pres = load_presentation(_required(args.file, "engulf needs --file or --cyclic"))
         q = _finite_quotient(pres, args)

@@ -231,10 +231,10 @@ def weinbaum_scan(w: Word, q: QuotientMap) -> list:
     closure; an identity image is inconclusive and reported as Unknown.
     """
     out = []
-    ident = q.oracle.key(q.oracle.identity())
+    ident = q.oracle.identity()
     for sub in proper_subwords(w, cyclic=True):
         img = q.apply(sub)
-        status = "Unknown" if q.oracle.key(img) == ident else "NontrivialCertified"
+        status = "Unknown" if img == ident else "NontrivialCertified"
         out.append(SubwordStatus(subword=sub, status=status,
                                  image=q.oracle.render(img)))
     return out

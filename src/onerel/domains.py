@@ -1,9 +1,12 @@
 """Exact coefficient domains: integers, rationals and prime fields.
 
-Domain objects bundle the arithmetic so that group-ring code can stay
-generic.  Elements are plain Python values (``int`` for the integers and
-prime fields, ``fractions.Fraction`` for the rationals); all arithmetic is
-exact.
+A coefficient is a plain Python value in its domain's normal form: an
+``int`` over Z, a ``fractions.Fraction`` over Q and an ``int`` in
+``0..p-1`` over F_p.  Callers combine normal-form values with Python's
+operators and pass each result through :meth:`Domain.coerce`, the one place
+that knows the modulus p; a normal-form value is zero exactly when it is
+falsy.  ``zero`` and ``one`` are normal-form constants, and ``is_unit`` and
+``inv`` serve the divisions.
 """
 
 from __future__ import annotations
@@ -16,32 +19,11 @@ from .errors import InputError
 class Domain:
     name = "?"
     is_field = False
+    zero = 0
+    one = 1
 
     def coerce(self, value):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def neg(self, x):
-        raise NotImplementedError
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    def is_zero(self, x):
-        return x == self.zero
 
     def is_unit(self, x):
         raise NotImplementedError
@@ -69,15 +51,6 @@ class IntegerDomain(Domain):
             return value.numerator
         return int(value)
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
     def is_unit(self, x):
         return x in (1, -1)
 
@@ -90,18 +63,11 @@ class IntegerDomain(Domain):
 class RationalDomain(Domain):
     name = "Q"
     is_field = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value):
-        return Fraction(value)
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def is_unit(self, x):
         return x != 0
@@ -138,15 +104,6 @@ class PrimeFieldDomain(Domain):
             den = value.denominator % self.p
             return num * pow(den, self.p - 2, self.p) % self.p
         return int(value) % self.p
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
 
     def is_unit(self, x):
         return x % self.p != 0

@@ -82,12 +82,12 @@ class Graph:
     def boundary(self, chain, domain=ZZ):
         """Vertex chain of a 1-chain: head gets +coeff, tail gets -coeff."""
         out = {}
-        zero, add, neg = domain.zero, domain.add, domain.neg
         for e, c in chain.items():
             tail, head, _ = self.edges[e]
-            out[head] = add(out.get(head, zero), c)
-            out[tail] = add(out.get(tail, zero), neg(c))
-        return {v: c for v, c in out.items() if c != zero}
+            out[head] = out.get(head, 0) + c
+            out[tail] = out.get(tail, 0) - c
+        coerce = domain.coerce
+        return {v: x for v, c in out.items() if (x := coerce(c))}
 
     def spanning_forest(self, edge_subset=None, roots=None):
         """Deterministic BFS forest: returns (tree edge set, parent map).
@@ -149,21 +149,21 @@ def cycle_space(graph: Graph, domain=ZZ) -> GraphWithCycleSpace:
     for i in sorted(set(range(graph.n_edges())) - tree):
         tail, head, _ = graph.edges[i]
         walk = [(i, 1)]
-        chain = {i: domain.one}
         # close up with the reduced forest path head -> tail
-        path = _tree_route(parent, head, tail)
-        for j, direction in path:
-            walk.append((j, direction))
-            coeff = chain.get(j, domain.zero)
-            coeff = domain.add(coeff, domain.coerce(direction))
-            if domain.is_zero(coeff):
-                chain.pop(j, None)
-            else:
-                chain[j] = coeff
-        basis.append(chain)
+        walk += _tree_route(parent, head, tail)
+        basis.append(_walk_chain(walk, domain))
         walks.append(walk)
     return GraphWithCycleSpace(graph=graph, domain=domain, forest=tree,
                                basis=basis, basis_walks=walks)
+
+
+def _walk_chain(walk, domain):
+    """The 1-chain of a walk of ``(edge, direction)`` steps, zeros dropped."""
+    chain = {}
+    for j, d in walk:
+        chain[j] = chain.get(j, 0) + d
+    coerce = domain.coerce
+    return {j: x for j, c in chain.items() if (x := coerce(c))}
 
 
 def _tree_route(parent, start, goal):
@@ -230,7 +230,7 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
         raise InputError("designated edges outside the graph")
     r = {_edge_index(graph, e): domain.coerce(c)
          for e, c in (r.items() if isinstance(r, dict) else r)}
-    r = {e: c for e, c in r.items() if not domain.is_zero(c)}
+    r = {e: c for e, c in r.items() if c}
     if not r:
         return NotApplicable("the chain is zero")
     if graph.boundary(r, domain):
@@ -287,13 +287,7 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     for e_star in candidates:
         tail, head, _ = graph.edges[e_star]
         walk = [(e_star, 1)] + _tree_route(parent, head, tail)
-        chain = {}
-        for j, d in walk:
-            c = domain.add(chain.get(j, domain.zero), domain.coerce(d))
-            if domain.is_zero(c):
-                chain.pop(j, None)
-            else:
-                chain[j] = c
+        chain = _walk_chain(walk, domain)
         if not _walk_is_embedded(graph, walk):
             last_reason = "candidate fundamental cycle is not embedded"
             continue
@@ -306,11 +300,11 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
             continue
         residual = dict(r)
         for j, c in chain.items():
-            nc = domain.sub(residual.get(j, domain.zero), domain.mul(unit, c))
-            if domain.is_zero(nc):
-                residual.pop(j, None)
-            else:
+            nc = domain.coerce(residual.get(j, 0) - unit * c)
+            if nc:
                 residual[j] = nc
+            else:
+                residual.pop(j, None)
         if any(j in h for j in residual):
             last_reason = "residual still meets the designated edges"
             continue
@@ -326,10 +320,10 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
 
 
 def _solve_unit(domain, r_h, lam_h):
-    if domain.is_zero(lam_h):
+    if not lam_h:
         return None
     if domain.is_field:
-        return domain.mul(r_h, domain.inv(lam_h))
+        return domain.coerce(r_h * domain.inv(lam_h))
     # integers: lam divides r and the quotient is a unit
     if r_h % lam_h:
         return None
@@ -343,12 +337,14 @@ def _verify_lift(graph, h, r, lift, k_rows, domain):
     if not domain.is_unit(lift.unit):
         raise InputError("lift verification failed: coefficient is not a unit")
     n = graph.n_edges()
-    recon = [domain.zero] * n
+    recon = [0] * n
     for coeff, row in zip(lift.k_coefficients, k_rows):
+        coeff = domain.coerce(coeff)
         for j in range(n):
-            recon[j] = domain.add(recon[j], domain.mul(domain.coerce(coeff), row[j]))
+            recon[j] += coeff * row[j]
     for j, c in lift.cycle_chain.items():
-        recon[j] = domain.add(recon[j], domain.mul(lift.unit, c))
+        recon[j] += lift.unit * c
+    recon = [domain.coerce(x) for x in recon]
     target = _chain_vector(r, n, domain)
     if recon != target:
         raise InputError("lift verification failed: certificate does not recombine")

@@ -1,8 +1,10 @@
 """Exact group-ring arithmetic over pluggable oracles, with support analysis.
 
-Elements are finite formal sums stored sparsely as ``key -> (element, coeff)``
-with no zero coefficients.  On top of the arithmetic this module implements
-the support-based checks used elsewhere: k-unique products for finite subsets,
+Elements are finite formal sums stored sparsely as ``{element: coefficient}``,
+each coefficient in its domain's normal form and none of them zero; group
+elements are their oracle's canonical hashable values, so they key the map
+themselves.  On top of the arithmetic this module implements the
+support-based checks used elsewhere: k-unique products for finite subsets,
 an exhaustive engulfing-witness search over finite groups, and the
 order-backed non-engulfing certificate.
 """
@@ -23,15 +25,12 @@ class GroupRingElement:
     def __init__(self, oracle: GroupOracle, domain: Domain, terms=()):
         self.oracle = oracle
         self.domain = domain
+        coerce = domain.coerce
         acc = {}
         for elem, coeff in terms:
-            coeff = domain.coerce(coeff)
-            k = oracle.key(elem)
-            if k in acc:
-                acc[k] = (elem, domain.add(acc[k][1], coeff))
-            else:
-                acc[k] = (elem, coeff)
-        self.terms = {k: v for k, v in acc.items() if not domain.is_zero(v[1])}
+            coeff = coerce(coeff)
+            acc[elem] = coerce(acc[elem] + coeff) if elem in acc else coeff
+        self.terms = {elem: coeff for elem, coeff in acc.items() if coeff}
 
     # -- constructors --------------------------------------------------------
 
@@ -53,34 +52,29 @@ class GroupRingElement:
         return set(self.terms)
 
     def support_elements(self):
-        return [elem for elem, _ in self.terms.values()]
+        return list(self.terms)
 
     def coefficient(self, elem):
-        entry = self.terms.get(self.oracle.key(elem))
-        return entry[1] if entry else self.domain.zero
+        return self.terms.get(elem, self.domain.zero)
 
     def is_zero(self):
         return not self.terms
 
     def is_scalar(self):
         """Whether the element lies in the coefficient ring R.1."""
-        if not self.terms:
-            return True
-        if len(self.terms) > 1:
-            return False
-        return next(iter(self.terms)) == self.oracle.key(self.oracle.identity())
+        return not self.terms or (len(self.terms) == 1
+                                  and self.oracle.identity() in self.terms)
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElement)
             and self.oracle is other.oracle
             and self.domain == other.domain
-            and {k: v[1] for k, v in self.terms.items()}
-            == {k: v[1] for k, v in other.terms.items()}
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash(frozenset((k, v[1]) for k, v in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def _check_compatible(self, other):
         if self.oracle is not other.oracle or self.domain != other.domain:
@@ -92,14 +86,12 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_compatible(other)
-        terms = [(e, c) for e, c in self.terms.values()]
-        terms += [(e, c) for e, c in other.terms.values()]
-        return GroupRingElement(self.oracle, self.domain, terms)
+        return GroupRingElement(self.oracle, self.domain,
+                                [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return GroupRingElement(
-            self.oracle, self.domain,
-            [(e, self.domain.neg(c)) for e, c in self.terms.values()])
+        return GroupRingElement(self.oracle, self.domain,
+                                [(e, -c) for e, c in self.terms.items()])
 
     def __sub__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -110,31 +102,29 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_compatible(other)
-        dom, orc = self.domain, self.oracle
-        terms = []
-        for e1, c1 in self.terms.values():
-            for e2, c2 in other.terms.values():
-                terms.append((orc.multiply(e1, e2), dom.mul(c1, c2)))
-        return GroupRingElement(orc, dom, terms)
+        multiply = self.oracle.multiply
+        return GroupRingElement(self.oracle, self.domain, [
+            (multiply(e1, e2), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()])
 
     def scale(self, coeff):
         coeff = self.domain.coerce(coeff)
-        return GroupRingElement(
-            self.oracle, self.domain,
-            [(e, self.domain.mul(coeff, c)) for e, c in self.terms.values()])
+        return GroupRingElement(self.oracle, self.domain,
+                                [(e, coeff * c) for e, c in self.terms.items()])
 
     def render(self):
         if not self.terms:
             return "0"
+        one, minus_one = self.domain.one, self.domain.coerce(-1)
         parts = []
-        for k in sorted(self.terms, key=self.oracle.term_order):
-            elem, coeff = self.terms[k]
+        for elem in sorted(self.terms, key=self.oracle.term_order):
+            coeff = self.terms[elem]
             ge = self.oracle.render(elem)
             if ge == "1":
                 piece = str(coeff)
-            elif coeff == self.domain.one:
+            elif coeff == one:
                 piece = ge
-            elif coeff == self.domain.neg(self.domain.one):
+            elif coeff == minus_one:
                 piece = f"-{ge}"
             else:
                 piece = f"{coeff}*{ge}"
@@ -207,15 +197,15 @@ def unique_products_check(oracle, A, B, k, side="plain"):
         raise InputError(f"unknown side {side!r}")
     if k < 1:
         raise InputError("k must be a positive integer")
-    A = list({oracle.key(a): a for a in A}.values())
-    B = list({oracle.key(b): b for b in B}.values())
+    A = list(dict.fromkeys(A))
+    B = list(dict.fromkeys(B))
     if not A or not B:
         raise InputError("A and B must be non-empty")
 
     reps = {}
     for a in A:
         for b in B:
-            reps.setdefault(oracle.key(oracle.multiply(a, b)), []).append((a, b))
+            reps.setdefault(oracle.multiply(a, b), []).append((a, b))
     if side == "plain" and len(reps) < k:
         raise InputError(f"plain mode requires |AB| >= k, got |AB| = {len(reps)}")
     if side == "left" and len(A) < k:
@@ -225,9 +215,9 @@ def unique_products_check(oracle, A, B, k, side="plain"):
 
     unique = [(pairs[0][0], pairs[0][1]) for pairs in reps.values() if len(pairs) == 1]
     if side == "left":
-        distinct = len({oracle.key(a) for a, _ in unique})
+        distinct = len({a for a, _ in unique})
     elif side == "right":
-        distinct = len({oracle.key(b) for _, b in unique})
+        distinct = len({b for _, b in unique})
     else:
         distinct = len(unique)
     verdict = distinct >= k
@@ -281,25 +271,24 @@ def engulfing_search_finite(m: GroupRingElement, side="left") -> EngulfingReport
         raise UnsupportedError("finite engulfing search needs a finite group oracle")
 
     elems = oracle.elements()
-    index = {oracle.key(g): i for i, g in enumerate(elems)}
-    supp = m.support()
-    inverses = [(oracle.invert(me), mc) for me, mc in m.terms.values()]
+    index = {g: i for i, g in enumerate(elems)}
+    inverses = [(oracle.invert(me), mc) for me, mc in m.terms.items()]
 
     # x @ A = 0 with x the coefficients of r: column c of A is the coefficient
     # of the c-th element h outside supp(m) in r*m (or m*r), which collects
     # mc from the g with g*me = h (or me*g = h), one g per term of m
     a_matrix = [{} for _ in elems]
-    outside = (h for h in elems if oracle.key(h) not in supp)
+    outside = (h for h in elems if h not in m.terms)
     for c, h in enumerate(outside):
         for me_inv, mc in inverses:
             g = oracle.multiply(h, me_inv) if side == "left" else oracle.multiply(me_inv, h)
-            a_matrix[index[oracle.key(g)]][c] = mc
+            a_matrix[index[g]][c] = mc
     basis = nullspace(a_matrix, dom)
 
     dim = len(basis)
-    id_index = index[oracle.key(oracle.identity())]
+    id_index = index[oracle.identity()]
     for vec in basis:
-        support = [i for i, c in enumerate(vec) if not dom.is_zero(c)]
+        support = [i for i, c in enumerate(vec) if c]
         if support and support != [id_index]:
             witness = GroupRingElement(
                 oracle, dom, [(elems[i], vec[i]) for i in support])

@@ -142,7 +142,7 @@ def _rational(x):
     """``x`` over Q: an int when it is integral, otherwise a ``Fraction``."""
     if isinstance(x, int):
         return x
-    v = Fraction(x)
+    v = x if isinstance(x, Fraction) else Fraction(x)
     return v.numerator if v.denominator == 1 else v
 
 

@@ -1,10 +1,13 @@
 """Group oracles: a uniform element interface for group-ring arithmetic.
 
-An oracle supplies identity/multiply/invert plus an injective canonical key
-for hashing.  Finite oracles can enumerate all elements (deterministically,
-identity first) up to ``MAX_QUOTIENT_ORDER`` of them, and refuse a larger
-group with :class:`~onerel.errors.UnsupportedError`; their ``cayley_column``
-gives right multiplication by a generator as a map of element indices, and
+An oracle supplies identity/multiply/invert on elements that are canonical
+hashable values: residues mod n, ``Z^k`` tuples, permutation image tuples and
+freely reduced words.  Equal group elements are equal values, so an element
+is its own key in a group-ring element's term map.  Finite oracles can
+enumerate all elements (deterministically, identity first) up to
+``MAX_QUOTIENT_ORDER`` of them, and refuse a larger group with
+:class:`~onerel.errors.UnsupportedError`; their ``cayley_column`` gives
+right multiplication by a generator as a map of element indices, and
 :meth:`PermOracle.cayley_tree` the edge by which each element was first
 reached.
 Ordered oracles expose ``compare``, a right-invariant total order.
@@ -38,9 +41,6 @@ class GroupOracle:
     def invert(self, a):
         raise NotImplementedError
 
-    def key(self, a):
-        raise NotImplementedError
-
     def is_finite(self):
         return False
 
@@ -50,13 +50,17 @@ class GroupOracle:
     def render(self, a):
         return str(a)
 
-    def term_order(self, key):
-        """Sort key placing a key's term when a group-ring element is rendered."""
-        return repr(key)
+    def term_order(self, a):
+        """Sort key placing an element's term when a group-ring element is rendered."""
+        return repr(a)
 
 
 class ModOracle(GroupOracle):
-    """The cyclic group Z/n, elements 0..n-1 under addition."""
+    """The cyclic group Z/n, elements 0..n-1 under addition.
+
+    Elements are the residues themselves, so an integer from outside the
+    program is reduced mod n before it becomes an element.
+    """
 
     def __init__(self, n):
         if n < 1:
@@ -73,9 +77,6 @@ class ModOracle(GroupOracle):
     def invert(self, a):
         return (-a) % self.n
 
-    def key(self, a):
-        return a % self.n
-
     def is_finite(self):
         return True
 
@@ -89,7 +90,7 @@ class ModOracle(GroupOracle):
         return [(k + h) % self.n for k in self.elements()]
 
     def render(self, a):
-        return "1" if a % self.n == 0 else f"g^{a % self.n}" if a % self.n != 1 else "g"
+        return "1" if a == 0 else "g" if a == 1 else f"g^{a}"
 
 
 class ZPowOracle(GroupOracle):
@@ -111,9 +112,6 @@ class ZPowOracle(GroupOracle):
     def invert(self, a):
         return tuple(-x for x in a)
 
-    def key(self, a):
-        return tuple(a)
-
     def is_finite(self):
         return self.rank == 0
 
@@ -123,8 +121,7 @@ class ZPowOracle(GroupOracle):
         raise UnsupportedError("Z^k is infinite")
 
     def compare(self, a, b):
-        ta, tb = tuple(a), tuple(b)
-        return -1 if ta < tb else (0 if ta == tb else 1)
+        return (a > b) - (a < b)
 
     def render(self, a):
         parts = [
@@ -230,9 +227,6 @@ class PermOracle(GroupOracle):
             out[j] = i
         return tuple(out)
 
-    def key(self, a):
-        return tuple(a)
-
     def is_finite(self):
         return True
 
@@ -321,14 +315,11 @@ class FreeOracle(GroupOracle):
     def invert(self, a):
         return a.inverse()
 
-    def key(self, a):
-        return a.letters
-
     def compare(self, a, b):
         return magnus_compare(a, b)
 
     def render(self, a):
         return a.render(self.names)
 
-    def term_order(self, key):
-        return (len(key), key)  # shorter words first, then by letters
+    def term_order(self, a):
+        return (len(a), a.letters)  # shorter words first, then by letters

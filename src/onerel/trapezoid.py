@@ -198,8 +198,8 @@ class DiagonalReport:
 
 
 def certify_diagonal(matrix: GroupRingMatrix, cert: StaircaseCertificate,
-                     strategy="orderedOracle", side="left") -> DiagonalReport:
-    """Delegate each staircase diagonal entry to an engulfing check.
+                     strategy="orderedOracle") -> DiagonalReport:
+    """Delegate each staircase diagonal entry to a left engulfing check.
 
     ``orderedOracle`` uses the oracle's right-invariant order (never finds a
     witness); ``finiteSearch`` runs the exhaustive finite-group search and
@@ -211,9 +211,9 @@ def certify_diagonal(matrix: GroupRingMatrix, cert: StaircaseCertificate,
     for pos, r in enumerate(cert.rows):
         entry = matrix.entry(r, cert.cols[cert.diag[pos]])
         if strategy == "orderedOracle":
-            rep = non_engulfing_certificate_ordered(entry, side=side)
+            rep = non_engulfing_certificate_ordered(entry)
         else:
-            rep = engulfing_search_finite(entry, side=side)
+            rep = engulfing_search_finite(entry)
         report.certificates.append(rep)
         if rep.engulfing:
             report.all_non_engulfing = False

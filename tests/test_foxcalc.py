@@ -136,9 +136,9 @@ class TestJacobian:
 
 def _order(q, w):
     """The order of ``w``'s image under the permutation map ``q``."""
-    one, g = q.oracle.key(q.oracle.identity()), q.apply(w)
+    one, g = q.oracle.identity(), q.apply(w)
     power, n = g, 1
-    while q.oracle.key(power) != one:
+    while power != one:
         power, n = q.oracle.multiply(power, g), n + 1
     return n
 
@@ -186,7 +186,7 @@ def test_jacobian_entries_are_pushed_forward_fox_derivatives(case, domain):
         for s in range(p.rank):
             expect = GroupRingElement(
                 q.oracle, domain,
-                [(q.apply(v), c) for v, c in fox_derivative(w, s, free).terms.values()])
+                [(q.apply(v), c) for v, c in fox_derivative(w, s, free).terms.items()])
             entry = J.entry(i, s)
             assert list(entry.terms.items()) == list(expect.terms.items())
             assert entry.render() == expect.render()

@@ -59,7 +59,9 @@ class TestArithmetic:
     @pytest.mark.parametrize("oracle,domain", [
         (ModOracle(6), ZZ),
         (PermOracle(3, [parse_permutation("(1 2)", 3), parse_permutation("(1 2 3)", 3)]), QQ),
+        (PermOracle(3, [parse_permutation("(1 2)", 3), parse_permutation("(1 2 3)", 3)]), F3),
         (ZPowOracle(2), ZZ),
+        (FreeOracle(["a", "b"]), ZZ),
     ])
     def test_ring_axioms_on_random_triples(self, rng, oracle, domain):
         elements = sample_elements(rng, oracle, 8)
@@ -71,6 +73,10 @@ class TestArithmetic:
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
             assert (x + y) * z == x * z + y * z
+            for result in (x * y, x - y):
+                for c in result.terms.values():
+                    normal = domain.coerce(c)
+                    assert c and c == normal and type(c) is type(normal)
 
     def test_support_of_product_contained_in_products(self, rng):
         oracle = PermOracle(3, [parse_permutation("(1 2)", 3),
@@ -79,7 +85,7 @@ class TestArithmetic:
         for _ in range(80):
             r = random_element(rng, oracle, QQ, elements)
             s = random_element(rng, oracle, QQ, elements)
-            prods = {oracle.key(oracle.multiply(a, b))
+            prods = {oracle.multiply(a, b)
                      for a in r.support_elements() for b in s.support_elements()}
             assert (r * s).support() <= prods
 

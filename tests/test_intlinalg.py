@@ -109,8 +109,8 @@ class TestFieldOps:
                 prod = [field.zero] * len(m[0])
                 for i, c in enumerate(vec):
                     for j in range(len(m[0])):
-                        prod[j] = field.add(prod[j], field.mul(c, field.coerce(m[i][j])))
-                assert all(field.is_zero(x) for x in prod)
+                        prod[j] = field.coerce(prod[j] + c * field.coerce(m[i][j]))
+                assert not any(prod)
 
     def test_rank_nullity(self, rng):
         for _ in range(40):
