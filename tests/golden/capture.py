@@ -45,6 +45,8 @@ TRIANGLE_S4 = "a -> (1 2), b -> (2 3 4)"
 # cover over Z has torsion, H1 = Z^152 + (Z/2)^119
 POWER_TREFOIL = f"{INPUTS}/power_trefoil.grp"
 POWER_TREFOIL_360 = "a -> (1 4 3 2)(5 6), b -> (1 6 2)(3 4 5)"
+# <a, b | a^2*b^-2> with an order-120 quotient onto D60 on 60 points
+TORUS_D60 = f"{INPUTS}/torus_d60.grp"
 
 # trefoil quotients <a, b | a^2*b^-3> by group order
 LADDER = {
@@ -196,6 +198,13 @@ def _cases():
         out += _both(f"engulf_trefoil_{order}_{tag}",
                      ["engulf", "--file", TREFOIL, "--quotient", LADDER[order],
                       "--terms", terms, "--field", field, "--side", side])
+    # witnesses of dozens of terms, each a permutation of 60 points with
+    # two-digit labels and fixed points
+    for field, side, terms in (("3", "left", "b*a^-2:1;a^2:-1;b^-1*a:1"),
+                               ("7", "right", "b*a^-2:2;a^2:-1;b^-1*a:3")):
+        out += _both(f"engulf_d60_f{field}_{side}",
+                     ["engulf", "--file", TORUS_D60, "--terms", terms,
+                      "--field", field, "--side", side])
     out += _both("engulf_infinite_refused",
                  ["engulf", "--file", TREFOIL, "--terms", "a:1", "--field", "Z"])
 
