@@ -68,11 +68,12 @@ def _cmd_fox(args):
     w = parse_word(args.word, pres.names)
     idx = pres.gen_index(args.gen)
     d = fox_derivative(w, idx, FreeOracle(pres.names), parse_domain(args.ring))
-    return {
+    payload = {
         "word": w.render(pres.names),
         "generator": args.gen,
         "derivative": d.render(),
-    }, d.render()
+    }
+    return payload, payload["derivative"]
 
 
 def _cmd_jacobian(args):
@@ -259,7 +260,7 @@ def _cmd_engulf(args):
         "kernel_dimension": report.kernel_dimension,
     }
     if report.witness:
-        text = f"WitnessFound: {report.witness.render()}"
+        text = f"WitnessFound: {payload['witness']}"
     else:
         text = f"NoneExists (solution space dimension {report.kernel_dimension})"
     return payload, text
@@ -278,8 +279,8 @@ def _cmd_weinbaum(args):
     certified = sum(1 for s in scan if s.status == "NontrivialCertified")
     payload = {"relator": w.render(pres.names), "subwords": statuses,
                "certified": certified, "total": len(scan)}
-    text = "\n".join(s.render(pres.names) for s in scan) + \
-           f"\ncertified {certified} of {len(scan)}"
+    text = "\n".join(f"{s['subword']}: {s['status']} (image {s['image']})"
+                     for s in statuses) + f"\ncertified {certified} of {len(scan)}"
     return payload, text
 
 

@@ -220,9 +220,6 @@ class SubwordStatus:
     status: str            # "NontrivialCertified" | "Unknown"
     image: str
 
-    def render(self, names):
-        return f"{self.subword.render(names)}: {self.status} (image {self.image})"
-
 
 def weinbaum_scan(w: Word, q: QuotientMap) -> list:
     """Certify proper cyclic subwords nontrivial via their quotient images.

@@ -100,9 +100,11 @@ class PrimeFieldDomain(Domain):
 
     def coerce(self, value):
         if isinstance(value, Fraction):
-            num = value.numerator % self.p
             den = value.denominator % self.p
-            return num * pow(den, self.p - 2, self.p) % self.p
+            if not den:
+                raise InputError(f"{value} has no value in {self.name}: "
+                                 f"{self.p} divides its denominator")
+            return value.numerator * pow(den, self.p - 2, self.p) % self.p
         return int(value) % self.p
 
     def is_unit(self, x):

@@ -272,17 +272,18 @@ def engulfing_search_finite(m: GroupRingElement, side="left") -> EngulfingReport
 
     elems = oracle.elements()
     index = {g: i for i, g in enumerate(elems)}
-    inverses = [(oracle.invert(me), mc) for me, mc in m.terms.items()]
+    inside = {index[me] for me in m.terms}
+    index_map = oracle.right_index_map if side == "left" else oracle.left_index_map
 
-    # x @ A = 0 with x the coefficients of r: column c of A is the coefficient
-    # of the c-th element h outside supp(m) in r*m (or m*r), which collects
-    # mc from the g with g*me = h (or me*g = h), one g per term of m
+    # x @ A = 0 with x the coefficients of r: column h of A, for each element
+    # index h outside supp(m), is the coefficient of elements[h] in r*m (or
+    # m*r), which collects mc from the g with g*me = h (or me*g = h), one g
+    # per term of m; the index maps give h for every g at once
     a_matrix = [{} for _ in elems]
-    outside = (h for h in elems if h not in m.terms)
-    for c, h in enumerate(outside):
-        for me_inv, mc in inverses:
-            g = oracle.multiply(h, me_inv) if side == "left" else oracle.multiply(me_inv, h)
-            a_matrix[index[g]][c] = mc
+    for me, mc in m.terms.items():
+        for g, h in enumerate(index_map(index[me])):
+            if h not in inside:
+                a_matrix[g][h] = mc
     basis = nullspace(a_matrix, dom)
 
     dim = len(basis)
@@ -299,8 +300,7 @@ def engulfing_search_finite(m: GroupRingElement, side="left") -> EngulfingReport
                            note="solution space is spanned by the scalars")
 
 
-def non_engulfing_certificate_ordered(m: GroupRingElement, side="left",
-                                      extra_samples=()) -> EngulfingReport:
+def non_engulfing_certificate_ordered(m: GroupRingElement, side="left") -> EngulfingReport:
     """Certificate that an element over an ordered oracle is not engulfing.
 
     Requires the oracle to carry a right-invariant total order; the order
@@ -314,7 +314,7 @@ def non_engulfing_certificate_ordered(m: GroupRingElement, side="left",
     if m.is_zero():
         raise InputError("engulfing is defined for non-zero elements")
 
-    sample = m.support_elements() + list(extra_samples)
+    sample = m.support_elements()
     for x in sample:
         if oracle.compare(x, x) != 0:
             raise InternalCheckError("order is not reflexive on sampled elements")

@@ -7,15 +7,19 @@ is its own key in a group-ring element's term map.  Finite oracles can
 enumerate all elements (deterministically, identity first) up to
 ``MAX_QUOTIENT_ORDER`` of them, and refuse a larger group with
 :class:`~onerel.errors.UnsupportedError`; their ``cayley_column`` gives
-right multiplication by a generator as a map of element indices, and
+right multiplication by a generator as a map of element indices,
 :meth:`PermOracle.cayley_tree` the edge by which each element was first
-reached.
+reached, and ``right_index_map`` and ``left_index_map`` multiplication by
+any element as a map of element indices, built from the table alone.
 Ordered oracles expose ``compare``, a right-invariant total order.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from itertools import compress
+from operator import ne
 
 from .errors import InputError, UnsupportedError
 from .magnus import magnus_compare
@@ -46,6 +50,17 @@ class GroupOracle:
 
     def elements(self):
         raise UnsupportedError(f"{self.name} cannot enumerate its elements")
+
+    def right_index_map(self, k):
+        """Right multiplication by element ``k`` of a finite oracle, on indices.
+
+        Entry ``i`` is the index of ``elements[i] * elements[k]``.
+        """
+        raise NotImplementedError
+
+    def left_index_map(self, k):
+        """Entry ``i`` is the index of ``elements[k] * elements[i]``."""
+        raise NotImplementedError
 
     def render(self, a):
         return str(a)
@@ -85,9 +100,12 @@ class ModOracle(GroupOracle):
             raise UnsupportedError(ORDER_REFUSAL)
         return list(range(self.n))
 
-    def cayley_column(self, h):
-        """``[idx(g * h) for g in self.elements()]``, in closed form."""
-        return [(k + h) % self.n for k in self.elements()]
+    def right_index_map(self, k):
+        """``[idx(g * k) for g in self.elements()]``, in closed form."""
+        return [(g + k) % self.n for g in self.elements()]
+
+    # Z/n is abelian, and each element is its own index
+    left_index_map = cayley_column = right_index_map
 
     def render(self, a):
         return "1" if a == 0 else "g" if a == 1 else f"g^{a}"
@@ -119,6 +137,12 @@ class ZPowOracle(GroupOracle):
         if self.rank == 0:
             return [()]
         raise UnsupportedError("Z^k is infinite")
+
+    def right_index_map(self, k):
+        """The one index map ``[0]`` of the trivial group Z^0."""
+        return [0] * len(self.elements())
+
+    left_index_map = right_index_map
 
     def compare(self, a, b):
         return (a > b) - (a < b)
@@ -175,24 +199,29 @@ def parse_permutation(text, degree=None):
     return tuple(img)
 
 
+@functools.lru_cache(maxsize=8)
+def _point_labels(degree):
+    """The 1-based labels ``"1"`` to ``str(degree)`` of a degree's points."""
+    return tuple(map(str, range(1, degree + 1)))
+
+
 def permutation_cycles(perm):
     """Render a 0-based image tuple in 1-based disjoint-cycle notation."""
-    n = len(perm)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
+    points = range(len(perm))
+    labels = _point_labels(len(perm))
+    seen = bytearray(len(perm))
+    cycles = []
+    for start in compress(points, map(ne, perm, points)):   # the moved points
+        if seen[start]:
             continue
-        cyc = [start]
-        seen[start] = True
+        cyc = [labels[start]]
         nxt = perm[start]
         while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
+            seen[nxt] = 1
+            cyc.append(labels[nxt])
             nxt = perm[nxt]
-        out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(out) if out else "()"
+        cycles.append(" ".join(cyc))
+    return "(" + ")(".join(cycles) + ")" if cycles else "()"
 
 
 class PermOracle(GroupOracle):
@@ -214,6 +243,7 @@ class PermOracle(GroupOracle):
         self._elements = None
         self._columns = None     # generator image -> its Cayley-table column
         self._tree = None        # element index -> (generator image, parent index)
+        self._inverses = None    # element index -> the index of its inverse
 
     def identity(self):
         return tuple(range(self.degree))
@@ -283,6 +313,50 @@ class PermOracle(GroupOracle):
         if self._tree is None:
             self.elements()
         return list(self._tree)
+
+    def right_index_map(self, k):
+        """``[idx(g * elements[k]) for g in elements]``, from the table alone.
+
+        ``g * x`` is the inverse of ``x^-1 * g^-1``, so the map is the left
+        map of ``k``'s inverse taken between two inversions: two passes over
+        the elements, however deep ``k`` lies in the BFS tree.
+        """
+        inverse = self._inverse_indices()
+        left = self.left_index_map(inverse[k])
+        return list(map(inverse.__getitem__, map(left.__getitem__, inverse)))
+
+    def left_index_map(self, k):
+        """``[idx(elements[k] * g) for g in elements]``, in one pass over the BFS tree.
+
+        Element ``c`` is ``elements[parent] * h``, so the index of
+        ``elements[k] * elements[c]`` is the column of ``h`` at the index of
+        ``elements[k] * elements[parent]``, found earlier since ``parent < c``.
+        """
+        if self._tree is None:
+            self.elements()
+        out = [k]
+        for h, parent in self._tree[1:]:
+            out.append(self._columns[h][out[parent]])
+        return out
+
+    def _inverse_indices(self):
+        """``[idx(g^-1) for g in elements]``, computed once from the table.
+
+        Element ``c`` is ``elements[parent] * h``, so its inverse is ``h^-1``
+        times the inverse of ``elements[parent]``: the left map of ``h^-1``,
+        the element that the column of ``h`` sends to the identity, at the
+        parent's entry.
+        """
+        if self._tree is None:
+            self.elements()
+        if self._inverses is None:
+            lefts = {h: self.left_index_map(column.index(0))
+                     for h, column in self._columns.items()}
+            inverse = [0]
+            for h, parent in self._tree[1:]:
+                inverse.append(lefts[h][inverse[parent]])
+            self._inverses = inverse
+        return self._inverses
 
     def is_transitive(self):
         reached = {0}

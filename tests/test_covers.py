@@ -13,7 +13,8 @@ from onerel.errors import InputError, UnsupportedError
 from onerel.foxcalc import QuotientMap, jacobian
 from onerel.graphs import Graph
 from onerel.groupring import GroupRingElement
-from onerel.oracles import MAX_QUOTIENT_ORDER, PermOracle, parse_permutation
+from onerel.oracles import (MAX_QUOTIENT_ORDER, ModOracle, PermOracle, ZPowOracle,
+                            parse_permutation)
 from onerel.presentations import Presentation, parse_presentation
 from onerel.words import Word, free_reduce
 
@@ -416,6 +417,56 @@ def test_bytes_enumeration_against_tuple_products(generators):
     check_enumeration(PermOracle(len(generators[0]), generators))
 
 
+def check_index_maps(oracle, ks):
+    """Right and left index maps of the elements ``ks`` against tuple products."""
+    elements = oracle.elements()
+    index = {g: k for k, g in enumerate(elements)}
+    for k in ks:
+        x = elements[k]
+        assert oracle.right_index_map(k) == [index[oracle.multiply(g, x)] for g in elements]
+        assert oracle.left_index_map(k) == [index[oracle.multiply(x, g)] for g in elements]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda degree: st.lists(
+    st.permutations(range(degree)).map(tuple), min_size=1, max_size=3)),
+    st.lists(st.integers(0, MAX_QUOTIENT_ORDER - 1), max_size=4))
+def test_index_maps_against_tuple_products(generators, picks):
+    """Index maps from the recorded table give the tuple products, at any BFS depth."""
+    oracle = PermOracle(len(generators[0]), generators)
+    try:
+        n = len(oracle.elements())
+    except UnsupportedError:
+        with pytest.raises(UnsupportedError):
+            oracle.right_index_map(0)
+        return
+    # every element of a small group; the identity, the deepest element and
+    # the drawn ones of a larger one
+    ks = range(n) if n <= 60 else {0, n - 1, *(k % n for k in picks)}
+    check_index_maps(oracle, ks)
+
+
+def test_index_maps_in_closed_form():
+    """Z/n and Z^0 give their index maps without a table."""
+    for n in (1, 2, 7, 12):
+        check_index_maps(ModOracle(n), range(n))
+    check_index_maps(ZPowOracle(0), [0])
+    with pytest.raises(UnsupportedError):
+        ZPowOracle(1).right_index_map(0)
+
+
+def test_index_maps_of_a_deep_tree():
+    """A 5040-cycle's tree is a path, so the maps cannot compose columns along it."""
+    cycles = [list(range(0, 5)), list(range(5, 12)), list(range(12, 21)), list(range(21, 37))]
+    image = [0] * 37
+    for cyc in cycles:
+        for i, j in zip(cyc, cyc[1:] + cyc[:1]):
+            image[i] = j
+    oracle = PermOracle(37, [tuple(image)])
+    assert max(parent for _, parent in oracle.cayley_tree()[1:]) == MAX_QUOTIENT_ORDER - 2
+    check_index_maps(oracle, [1, 2520, MAX_QUOTIENT_ORDER - 1])
+
+
 def test_enumeration_above_256_points_uses_tuples():
     """A degree past a byte's range is enumerated on tuples, in the same order."""
     rotation = tuple((i + 1) % 300 for i in range(300))
@@ -423,6 +474,7 @@ def test_enumeration_above_256_points_uses_tuples():
     oracle = PermOracle(300, [rotation, flip])
     check_enumeration(oracle)
     assert len(oracle.elements()) == 600
+    check_index_maps(oracle, [1, 2, 299, 599])
 
 
 def test_forest_is_a_spanning_tree_of_the_skeleton(rng):

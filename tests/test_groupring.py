@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
@@ -173,6 +175,22 @@ class TestEngulfing:
         report = engulfing_search_finite(m, side="right")
         assert report.status == "none"
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_system_comes_from_the_table_alone(self, monkeypatch, side):
+        """No group operation builds the system; only a witness is re-checked with them."""
+        o = PermOracle(4, [parse_permutation("(1 2)", 4), parse_permutation("(1 2 3 4)", 4)])
+        elements = o.elements()
+        m = GroupRingElement(o, F3, [(elements[0], 1), (elements[5], 1), (elements[9], -1)])
+        expected = engulfing_search_finite(m, side=side)
+        calls = []
+        for name in ("multiply", "invert"):
+            monkeypatch.setattr(PermOracle, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr("onerel.groupring._verify_witness", lambda *args: None)
+        report = engulfing_search_finite(m, side=side)
+        assert calls == []
+        assert (report.status, report.kernel_dimension, report.witness) == \
+            (expected.status, expected.kernel_dimension, expected.witness)
+
     def test_zero_divisor_consistency_spot_check(self):
         # where a witness exists, the ring does have zero divisors: over
         # F3[Z/2] the pair (1 + g) * (1 - g) vanishes
@@ -269,6 +287,64 @@ class TestSeriesOrder:
 def _order_key(words):
     import functools
     return functools.cmp_to_key(magnus_compare)
+
+
+class TestPrimeFieldCoerce:
+    def test_fraction_with_a_unit_denominator(self):
+        assert F3.coerce(Fraction(3, 2)) == 0
+        F7 = PrimeFieldDomain(7)
+        assert F7.coerce(Fraction(3, 2)) == 3 * F7.inv(2) % 7 == 5
+        assert F7.coerce(Fraction(-1, 3)) == F7.coerce(-F7.inv(3)) == 2
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(2, 3), Fraction(-5, 9)])
+    def test_denominator_divisible_by_p_refused(self, value):
+        with pytest.raises(InputError, match="divides its denominator"):
+            F3.coerce(value)
+
+
+def cycles_by_points(perm):
+    """Disjoint cycles by a walk over every point, the form the renderer replaced."""
+    n = len(perm)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+    return "".join(out) if out else "()"
+
+
+class TestPermutationCycles:
+    @pytest.mark.parametrize("degree", [1, 2, 9, 10, 60, 257, 300])
+    def test_against_a_walk_over_every_point(self, rng, degree):
+        identity = tuple(range(degree))
+        assert permutation_cycles(identity) == cycles_by_points(identity) == "()"
+        for _ in range(20):
+            perm = list(range(degree))
+            moved = rng.sample(perm, rng.randrange(degree + 1))   # the rest stay fixed
+            images = moved[:]
+            rng.shuffle(images)
+            for x, y in zip(moved, images):
+                perm[x] = y
+            assert permutation_cycles(tuple(perm)) == cycles_by_points(perm)
+
+    def test_two_digit_labels_and_fixed_points(self):
+        perm = parse_permutation("(2 10)(11 12 3)", degree=12)
+        assert permutation_cycles(perm) == cycles_by_points(perm) == "(2 10)(3 11 12)"
+
+    def test_more_than_256_points(self):
+        perm = tuple((i + 1) % 300 for i in range(300))
+        text = permutation_cycles(perm)
+        assert text == cycles_by_points(perm) == "(" + " ".join(map(str, range(1, 301))) + ")"
+        assert parse_permutation(text) == perm
 
 
 class TestPermutationParsing:
