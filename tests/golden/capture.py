@@ -223,6 +223,11 @@ def _cases():
     out += _both("lift_multi_not_spanned",
                  ["lift", "--graph", MULTI, "--h-edges", "e1,e4",
                   "--cycle", "e1:1,e2:-1,e4:2"])
+    # one cycle of a theta graph, doubled: 2 is a unit over Q but not over Z
+    for ring, tag in (("Z", ""), ("Q", "_q")):
+        out += _both(f"lift_theta_doubled{tag}",
+                     ["lift", "--graph", THETA, "--h-edges", "e1",
+                      "--cycle", "e1:2,e2:-2", "--ring", ring])
     out += _both("lift_not_cycle", ["lift", "--graph", THETA, "--h-edges", "e1",
                                      "--cycle", "e1:1"])
 

@@ -202,6 +202,18 @@ class TestHNNStep:
         assert step.relator_word.render(step.base.names) == \
             f"a1*a0*a1^-1*a0^-{n + 1}"
 
+    def test_sub_window_with_two_components(self):
+        # levels -3..-1 split into {-3, -1} and {-2} under a -> 2, c -> 3
+        p = parse_presentation("gens: a, b, c\nrels: b^-1*c^-1*b*c")
+        step = hnn_step(p, EpimorphismToZ((2, 0, 3)))
+        assert step.render() == "\n".join([
+            "phi: a -> 2, b -> 0, c -> 3",
+            "window: levels -3..0",
+            "base: <b0, b1, b2, b3 | b3^-1*b0>",
+            "stable letter: t",
+            "associated subgroups: [b0, b2, b1] -> [b1, b3, b2]",
+        ])
+
     def test_preconditions(self):
         with pytest.raises(InputError):
             hnn_step(parse_presentation("gens: a, b\nrels: a^4"))
