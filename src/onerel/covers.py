@@ -55,12 +55,6 @@ class CoverComplex:
         width = self.skeleton.n_edges()
         return [[row.get(j, 0) for j in range(width)] for row in self.rows]
 
-    @property
-    def d1(self):
-        """Dense read-only copy of ``d1``, for readers outside the library."""
-        width = len(self.skeleton.vertices)
-        return [[row.get(v, 0) for v in range(width)] for row in self._d1_rows()]
-
     def _d1_rows(self):
         return [self.skeleton.boundary({e: 1}) for e in range(self.skeleton.n_edges())]
 

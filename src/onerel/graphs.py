@@ -1,10 +1,13 @@
 """Finite oriented graphs, fundamental cycle bases and embedded-cycle lifting.
 
 Chains over a coefficient domain are sparse maps ``edge index -> coefficient``.
-The lifting operation takes a cycle ``r`` meeting a designated edge set ``H``
+Cycle questions are read off BFS spanning forests: the fundamental cycles of
+a forest, one per non-forest edge, are a basis of the cycle space.  The
+lifting operation takes a cycle ``r`` meeting a designated edge set ``H``
 and, when the cycle space splits as ``R*r + (cycles off H)``, produces an
 embedded cycle through ``H`` and a unit ``u`` with ``r - u*[cycle]`` supported
-off ``H``, re-verifying every part of the certificate.
+off ``H``, re-verifying every part of the certificate.  The split is decided
+by counting the designated edges that a forest of ``G - H`` cannot take in.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from functools import cached_property
 
 from .domains import ZZ
 from .errors import InputError
-from .intlinalg import spans_saturated
 
 
 class Graph:
@@ -144,17 +146,25 @@ class GraphWithCycleSpace:
 def cycle_space(graph: Graph, domain=ZZ) -> GraphWithCycleSpace:
     """Fundamental cycles of the BFS spanning forest, one per non-tree edge."""
     tree, parent = graph.spanning_forest()
-    basis = []
-    walks = []
-    for i in sorted(set(range(graph.n_edges())) - tree):
-        tail, head, _ = graph.edges[i]
-        walk = [(i, 1)]
-        # close up with the reduced forest path head -> tail
-        walk += _tree_route(parent, head, tail)
-        basis.append(_walk_chain(walk, domain))
-        walks.append(walk)
+    basis, walks = _fundamental_cycles(graph, range(graph.n_edges()), tree, parent, domain)
     return GraphWithCycleSpace(graph=graph, domain=domain, forest=tree,
                                basis=basis, basis_walks=walks)
+
+
+def _fundamental_cycles(graph, edges, tree, parent, domain):
+    """Chains and walks of the fundamental cycles of a forest of ``edges``.
+
+    One per edge of ``edges`` outside ``tree``, in index order: the edge,
+    closed up by the reduced forest path from its head back to its tail.
+    """
+    basis = []
+    walks = []
+    for i in sorted(set(edges) - tree):
+        tail, head, _ = graph.edges[i]
+        walk = [(i, 1)] + _tree_route(parent, head, tail)
+        basis.append(_walk_chain(walk, domain))
+        walks.append(walk)
+    return basis, walks
 
 
 def _walk_chain(walk, domain):
@@ -192,13 +202,6 @@ class CycleLift:
     verified: bool = False
 
 
-def _chain_vector(chain, n, domain):
-    vec = [domain.zero] * n
-    for e, c in chain.items():
-        vec[e] = domain.coerce(c)
-    return vec
-
-
 def _walk_is_embedded(graph, walk):
     """No vertex visited twice along the closed walk (start counted once)."""
     visited = []
@@ -221,9 +224,21 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     """Split a cycle as unit * (embedded cycle through H) + (cycles off H).
 
     ``h_edges`` may be labels or indices; ``r`` maps edges to coefficients.
-    Checks the hypothesis that the full cycle space equals the span of ``r``
-    plus the cycles supported off ``h_edges``, in spanning-forest coordinates;
-    failures return :class:`NotApplicable` naming the violated condition.
+    Failures return :class:`NotApplicable` naming the violated condition.
+
+    The hypothesis is that the cycle space Z1(G) is ``R*r + Z1(G - H)``, and
+    a forest count decides it.  Let F0 be the BFS forest of G - H, and F its
+    extension by the H edges that join F0's components, in index order.  For
+    each H edge h left out of F, let c_h be its fundamental cycle in F: 1 on
+    h, 0 on the other left-out edges.  For a cycle z, z' = z - sum z[h]*c_h
+    over the left-out h is a cycle that vanishes on them, so its H entries
+    lie on F's H edges.  Contracting each component of G - H to a point maps
+    z' to a cycle supported on the image of those edges, which is a forest,
+    so that cycle is 0 and z' lies off H.  Hence Z1(G) is the direct sum of
+    Z1(G - H) and the R*c_h, and the quotient Z1(G) / Z1(G - H) is free on
+    the left-out edges, with r mapping to its entries there.  So ``r`` and
+    Z1(G - H) span Z1(G) exactly when one H edge h1 is left out and r[h1] is
+    a unit.  The off-H basis of the certificate is F0's fundamental cycles.
     """
     h = {_edge_index(graph, e) for e in h_edges}
     if not h.issubset(range(graph.n_edges())):
@@ -238,20 +253,10 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     if not any(e in h for e in r):
         return NotApplicable("the cycle has no support on the designated edges")
 
-    n = graph.n_edges()
-    kept = [e for e in range(n) if e not in h]      # edge indices of graph - H
-    off = cycle_space(Graph(graph.vertices, [graph.edges[e] for e in kept]), domain)
-    off_basis = [{kept[e]: c for e, c in chain.items()} for chain in off.basis]
-    # each off-H fundamental cycle is 1 on its own edge, 0 on the others
-    own_edges = [kept[walk[0][0]] for walk in off.basis_walks]
-    k_rows = [_chain_vector(c, n, domain) for c in off_basis]
-
-    # spanning-forest coordinates: a cycle is fixed by its non-forest entries
-    tree, _ = graph.spanning_forest()
-    cols = [e for e in range(n) if e not in tree]
-    coords = [{k: chain[e] for k, e in enumerate(cols) if e in chain}
-              for chain in off_basis + [r]]
-    if not spans_saturated(coords, len(cols), domain):
+    off_h = [e for e in range(graph.n_edges()) if e not in h]
+    forest0, parent0 = graph.spanning_forest(edge_subset=off_h)
+    left_out = sorted(h - _extend_forest(graph, forest0, h))
+    if len(left_out) != 1 or not domain.is_unit(r.get(left_out[0], domain.zero)):
         return NotApplicable(
             "the cycle space is not spanned by the cycle plus off-H cycles")
 
@@ -276,13 +281,15 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
         return NotApplicable("pruned support subgraph misses the designated edges")
 
     # forest of gamma minus H, extended across its components by H edges
-    forest0, _ = graph.spanning_forest(edge_subset=gamma_edges - h)
-    forest, parent = _extend_forest(graph, gamma_edges, forest0, h)
+    gamma_forest0, _ = graph.spanning_forest(edge_subset=gamma_edges - h)
+    forest, parent = graph.spanning_forest(
+        edge_subset=_extend_forest(graph, gamma_forest0, gamma_edges & h))
 
     candidates = sorted(e for e in gamma_edges.intersection(h) if e not in forest)
     if not candidates:
         return NotApplicable("every designated edge is a forest edge; no cycle to lift")
 
+    off_basis, off_walks = _fundamental_cycles(graph, off_h, forest0, parent0, domain)
     last_reason = "no unit solution"
     for e_star in candidates:
         tail, head, _ = graph.edges[e_star]
@@ -309,11 +316,12 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
             last_reason = "residual still meets the designated edges"
             continue
         # the residual is a cycle off H, so its off-H coordinates are its
-        # entries on the off-H basis' own edges
-        coeffs = [residual.get(e, domain.zero) for e in own_edges]
+        # entries on the off-H basis' own edges: each fundamental cycle is 1
+        # on its own edge (the first of its walk) and 0 on the others'
+        coeffs = [residual.get(walk[0][0], domain.zero) for walk in off_walks]
         lift = CycleLift(cycle_walk=walk, cycle_chain=chain, unit=unit,
                          k_coefficients=coeffs, k_basis=off_basis)
-        _verify_lift(graph, h, r, lift, k_rows, domain)
+        _verify_lift(graph, r, lift, domain)
         lift.verified = True
         return lift
     return NotApplicable(last_reason)
@@ -331,31 +339,29 @@ def _solve_unit(domain, r_h, lam_h):
     return q if domain.is_unit(q) else None
 
 
-def _verify_lift(graph, h, r, lift, k_rows, domain):
+def _verify_lift(graph, r, lift, domain):
+    """Re-check a lift: embedded, a unit, and ``r = sum k_i*b_i + u*cycle``."""
     if not _walk_is_embedded(graph, lift.cycle_walk):
         raise InputError("lift verification failed: cycle not embedded")
     if not domain.is_unit(lift.unit):
         raise InputError("lift verification failed: coefficient is not a unit")
-    n = graph.n_edges()
-    recon = [0] * n
-    for coeff, row in zip(lift.k_coefficients, k_rows):
-        coeff = domain.coerce(coeff)
-        for j in range(n):
-            recon[j] += coeff * row[j]
-    for j, c in lift.cycle_chain.items():
-        recon[j] += lift.unit * c
-    recon = [domain.coerce(x) for x in recon]
-    target = _chain_vector(r, n, domain)
-    if recon != target:
+    recon = {}
+    for coeff, chain in [*zip(lift.k_coefficients, lift.k_basis),
+                         (lift.unit, lift.cycle_chain)]:
+        for j, c in chain.items():
+            recon[j] = recon.get(j, 0) + coeff * c
+    coerce = domain.coerce
+    if {j: x for j, c in recon.items() if (x := coerce(c))} != r:
         raise InputError("lift verification failed: certificate does not recombine")
 
 
-def _extend_forest(graph, gamma_edges, forest0, h):
-    """Extend a forest of gamma-minus-H to a forest of gamma using H edges.
+def _extend_forest(graph, forest0, joining):
+    """The edges of ``forest0`` and of the ``joining`` edges that join its components.
 
-    Keeps every forest0 edge; H edges joining distinct forest0 components are
-    added greedily in index order (no cycles can arise).  The parent map is
-    recomputed over the final edge set, which reproduces it exactly.
+    The ``joining`` edges are taken greedily in index order, each one that
+    joins two distinct components of the forest so far, so no cycle arises.
+    Callers that need a parent map run :meth:`Graph.spanning_forest` on the
+    result.
     """
     comp = {v: v for v in graph.vertices}
 
@@ -369,9 +375,9 @@ def _extend_forest(graph, gamma_edges, forest0, h):
         tail, head, _ = graph.edges[i]
         comp[find(tail)] = find(head)
     final = set(forest0)
-    for i in sorted(gamma_edges.intersection(h)):
+    for i in sorted(joining):
         tail, head, _ = graph.edges[i]
         if find(tail) != find(head):
             comp[find(tail)] = find(head)
             final.add(i)
-    return graph.spanning_forest(edge_subset=final)
+    return final

@@ -7,16 +7,20 @@ spanning forest of that window graph.  The non-forest edges become the base
 generators (named by generator and shifted level, e.g. ``a0``, ``a1``); the
 rewritten relator is strictly shorter than the input, and substituting each
 base generator's recorded expansion back into it recovers the original
-relator exactly, a check performed on every step.
+relator exactly, a check performed on every step.  The associated subgroups
+are generated by the loops of the window's lower and upper sub-windows; the
+upper one is the lower one shifted up one level by the deck translation, so
+its loops are the lower one's loops shifted, from a single BFS.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalCheckError
-from .graphs import Graph, tree_path
+from .graphs import Graph
 from .presentations import Presentation
 from .words import (Word, cyclic_reduce, exponent_vector, is_cyclic_conjugate,
                     is_proper_power, syllable_decompose)
@@ -114,9 +118,7 @@ def prefix_sequence(w: Word, phi: EpimorphismToZ, partition) -> PrefixSequence:
         raise InputError("word does not alternate factors cyclically")
 
     steps = [phi(piece) for _, piece in syllables]
-    raw = [0]
-    for s in steps:
-        raw.append(raw[-1] + s)
+    raw = list(itertools.accumulate(steps, initial=0))
 
     # factor parameters: gcd of phi over each factor's generators used in w
     gcds = {tag: 0 for tag in tags}
@@ -130,7 +132,6 @@ def prefix_sequence(w: Word, phi: EpimorphismToZ, partition) -> PrefixSequence:
     candidates = []
     for invert in (False, True):
         seq = raw if not invert else raw[::-1]
-        stp = steps if not invert else [-s for s in reversed(steps)]
         fct = [tag for tag, _ in syllables]
         if invert:
             fct = fct[::-1]
@@ -163,11 +164,15 @@ class LemmaVerdict:
         return self.kind
 
 
-def _validate_sequence(a, b, values):
+def _validate_pair(a, b):
     if a > b or a < 1:
         raise InputError("need positive integers a <= b")
     if math.gcd(a, b) != 1:
         raise InputError(f"{a} and {b} are not coprime")
+
+
+def _validate_sequence(a, b, values):
+    _validate_pair(a, b)
     values = [int(v) for v in values]
     if len(values) < 3 or len(values) % 2 == 0:
         raise InputError("sequence must have odd length >= 3")
@@ -203,10 +208,7 @@ def number_lemma_oracle(a, b, max_pairs, cap=8) -> dict:
     ``a + b - 1``, zero endpoints and the alternating divisibility
     constraints, and verifies the pair-difference sum vanishes for each.
     """
-    if a > b or a < 1:
-        raise InputError("need positive integers a <= b")
-    if math.gcd(a, b) != 1:
-        raise InputError(f"{a} and {b} are not coprime")
+    _validate_pair(a, b)
     if max_pairs > cap:
         raise InputError(f"max_pairs {max_pairs} exceeds the cap {cap}")
     bound = a + b - 1
@@ -283,6 +285,7 @@ def _relator_path(w: Word, phi: EpimorphismToZ):
 
 
 def _window_edges(rank, phi, low, high):
+    """Cover edges (gen, level) with both ends in low..high, in that order."""
     edges = []
     for g in range(rank):
         step = phi.values[g]
@@ -339,23 +342,16 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
 
     # BFS forest from level 0 that prefers the edges the lifted path traverses
     traversed = {(g, lvl) for g, lvl, _ in path}
-    window_edges = sorted(_window_edges(p.rank, phi, low, high),
-                          key=lambda e: (e not in traversed, e))
-    window = _window_graph(window_edges, phi, low, high)
-    tree_idx, parent = window.spanning_forest(roots=[0])
-    apart = [v for v, link in parent.items() if link is None and v != 0]
+    window_edges = _window_edges(p.rank, phi, low, high)
+    tree, root, loops = _window_loops(
+        sorted(window_edges, key=lambda e: (e not in traversed, e)), phi, low, high, [0])
+    apart = [v for v, r in root.items() if r == v and v != 0]
     if apart:
         raise InternalCheckError(f"window levels {apart} are not reached from level 0")
-    tree = {window_edges[i] for i in tree_idx}
 
-    def letters_to(v):
-        """Letters (gen, sign) of the forest path level 0 -> v in the source group."""
-        return [(window_edges[i][0], direction) for i, direction in tree_path(parent, v)]
-
-    nontree = sorted(e for e in window_edges if e not in tree)
     base_names = []
     name_of = {}
-    for g, lvl in nontree:
+    for (g, lvl), _ in loops:
         name = f"{p.names[g]}{lvl - low}"
         if name in name_of.values() or name in p.names:
             name = f"{p.names[g]}_{lvl - low}"
@@ -363,14 +359,9 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
         base_names.append(name)
     base_index = {name: i for i, name in enumerate(base_names)}
 
-    # expansions: base generator -> word in the source free group
-    expansions = {}
-    for edge in nontree:
-        g, lvl = edge
-        to_tail = letters_to(lvl)
-        to_head = letters_to(lvl + phi.values[g])
-        letters = to_tail + [(g, 1)] + [(i, -s) for i, s in reversed(to_head)]
-        expansions[name_of[edge]] = Word(letters)
+    # expansions: base generator -> its loop's word in the source free group
+    expansions = {name_of[edge]: Word([(g, d) for g, _, d in loop])
+                  for edge, loop in loops}
 
     def path_to_base_word(edge_path):
         letters = []
@@ -399,49 +390,51 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
 
     base = Presentation(base_names, [u_root ** power])
 
-    # associated subgroups: fundamental loops of the two sub-windows written
-    # over the base generators; translation by the deck letter matches the
-    # k-th generator of J0 with the k-th generator of J1
-    j0, j1 = _associated_words(window_edges, phi, low, high, path_to_base_word)
+    # associated subgroups: the loops of the sub-window on levels low..high-1
+    # written over the base generators.  The sub-window on levels low+1..high
+    # is its translate by the deck letter, BFS forest included, so its loops
+    # are the same loops one level up: the k-th generator of J0 is matched
+    # with the k-th generator of J1 by construction.
+    sub_edges = [(g, lvl) for g, lvl in window_edges
+                 if max(lvl, lvl + phi.values[g]) < high]
+    _, _, sub_loops = _window_loops(sub_edges, phi, low, high - 1)
+    j0 = [path_to_base_word(loop) for _, loop in sub_loops]
+    j1 = [path_to_base_word([(g, lvl + 1, d) for g, lvl, d in loop])
+          for _, loop in sub_loops]
 
     return HNNStep(source=p, phi=phi, window=(low, high), base=base,
                    relator_word=u_root, stable_letter=_fresh_stable_name(set(p.names)),
                    expansions=expansions, assoc_j0=j0, assoc_j1=j1, power=power)
 
 
-def _window_graph(edges, phi, low, high):
-    """Levels low..high joined by the cover edges (gen, level), in list order."""
-    return Graph(range(low, high + 1), [(lvl, lvl + phi.values[g]) for g, lvl in edges])
+def _window_loops(edges, phi, low, high, roots=None):
+    """The BFS forest of a window and the loop of each non-forest edge.
 
-
-def _associated_words(window_edges, phi, low, high, path_to_base_word):
-    """Fundamental-loop generators of the two sub-windows over the base.
-
-    Loops are listed component by component in level order, and by
-    (generator, level) of their non-forest edge within a component.
+    The window is levels low..high joined by the cover edges ``(gen, level)``
+    of ``edges``, which the BFS scans in list order from ``roots``, then from
+    each least unreached level.  Returns the forest's edges, each level's
+    component root, and ``(edge, loop)`` for every non-forest edge, by
+    component root and then by edge.  A loop is a list of ``(gen, level,
+    sign)`` steps: the forest path root -> tail, the edge, then the forest
+    path head -> root.
     """
-
-    def loops(shift):
-        lo, hi = low + shift, high - 1 + shift
-        sub_edges = sorted((g, lvl) for g, lvl in window_edges
-                           if lo <= lvl <= hi and lo <= lvl + phi.values[g] <= hi)
-        sub_tree, sub_parent = _window_graph(sub_edges, phi, lo, hi).spanning_forest()
-        component = {}  # level -> least level of its component
-        for v, link in sub_parent.items():
-            component[v] = v if link is None else component[link[2]]
-
-        def path(v):
-            return [(*sub_edges[i], d) for i, d in tree_path(sub_parent, v)]
-
-        out = []
-        for _, i in sorted((component[lvl], i) for i, (g, lvl) in enumerate(sub_edges)
-                           if i not in sub_tree):
-            g, lvl = sub_edges[i]
-            back = [(h, at, -d) for h, at, d in reversed(path(lvl + phi.values[g]))]
-            out.append(path_to_base_word(path(lvl) + [(g, lvl, 1)] + back))
-        return out
-
-    return loops(0), loops(1)
+    graph = Graph(range(low, high + 1), [(lvl, lvl + phi.values[g]) for g, lvl in edges])
+    tree_idx, parent = graph.spanning_forest(roots=roots)
+    path = {}
+    root = {}
+    for v, link in parent.items():  # BFS order: a level comes after its parent
+        if link is None:
+            path[v], root[v] = [], v
+        else:
+            i, direction, prev = link
+            path[v], root[v] = path[prev] + [(*edges[i], direction)], root[prev]
+    tree = {edges[i] for i in tree_idx}
+    loops = []
+    for g, lvl in sorted((e for e in edges if e not in tree),
+                         key=lambda e: (root[e[1]], e)):
+        back = [(h, at, -d) for h, at, d in reversed(path[lvl + phi.values[g]])]
+        loops.append(((g, lvl), path[lvl] + [(g, lvl, 1)] + back))
+    return tree, root, loops
 
 
 # -- iterated hierarchy ----------------------------------------------------------

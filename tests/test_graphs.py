@@ -1,14 +1,20 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
+import onerel
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
 from onerel.errors import InputError
 from onerel.graphs import (CycleLift, Graph, NotApplicable, cycle_space,
                            lift_cycle)
+from onerel.intlinalg import spans_saturated
 
 
 def square():
@@ -288,3 +294,79 @@ class TestLiftAgainstSympy:
                         == {e: reduce(Fraction(c)) for e, c in r.items() if reduce(c)})
         assert verdicts[True] >= 50 and verdicts[False] >= 50 and lifts >= 50, \
             (verdicts, lifts)
+
+
+def reference_spanning_check(graph, h, r, domain):
+    """The spanning check by elimination, as ``lift_cycle`` once made it.
+
+    The off-H fundamental cycles come from a rebuilt ``G - H`` graph, mapped
+    back to the edges of ``graph``.  They and ``r`` are written in the
+    coordinates of the whole graph's BFS forest, and ``spans_saturated``
+    decides whether they span the coordinate lattice.  Returns the verdict
+    and the off-H basis.
+    """
+    n = graph.n_edges()
+    kept = [e for e in range(n) if e not in h]
+    off = cycle_space(Graph(graph.vertices, [graph.edges[e] for e in kept]), domain)
+    off_basis = [{kept[e]: c for e, c in chain.items()} for chain in off.basis]
+    tree, _ = graph.spanning_forest()
+    cols = [e for e in range(n) if e not in tree]
+    coords = [{k: chain[e] for k, e in enumerate(cols) if e in chain}
+              for chain in off_basis + [r]]
+    return spans_saturated(coords, len(cols), domain), off_basis
+
+
+class TestForestCountAgainstElimination:
+    """The forest count decides the spanning hypothesis as elimination did."""
+
+    @pytest.mark.parametrize("domain", [ZZ, QQ, PrimeFieldDomain(2), PrimeFieldDomain(3)],
+                             ids=["Z", "Q", "F2", "F3"])
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_verdict_and_off_h_basis(self, domain, data):
+        n_vertices = data.draw(st.integers(1, 5))
+        vertex = st.integers(0, n_vertices - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=9))
+        g = Graph(range(n_vertices), edges)
+        basis = cycle_space(g).basis
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                    max_size=len(basis)))
+        h = set(data.draw(st.lists(st.integers(0, len(edges) - 1), min_size=1,
+                                   max_size=3)))
+        r = {}
+        for coeff, chain in zip(coeffs, basis):
+            for e, c in chain.items():
+                r[e] = r.get(e, 0) + coeff * c
+        r = {e: x for e, c in r.items() if (x := domain.coerce(c))}
+        if not h.intersection(r):
+            return
+        result = lift_cycle(g, sorted(h), r, domain)
+        spans, off_basis = reference_spanning_check(g, h, r, domain)
+        assert (isinstance(result, NotApplicable) and result.reason == NOT_SPANNED) \
+            == (not spans)
+        if isinstance(result, CycleLift):
+            assert result.k_basis == off_basis
+
+
+class TestForestShape:
+    def test_lift_builds_no_graph(self, monkeypatch):
+        g = Graph(["u", "v", "w"], [("u", "v"), ("v", "w"), ("w", "u"), ("u", "v")])
+        built = []
+        original = Graph.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        lift = lift_cycle(g, [0], {0: 1, 1: 1, 2: 1})
+        assert lift.verified and len(lift.k_basis) == 1
+        assert built == []
+
+    def test_graphs_loads_no_elimination(self):
+        src = str(Path(onerel.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import onerel.graphs; "
+                "print('onerel.intlinalg' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code, src],
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "False"

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onerel.errors import InputError
+from onerel.errors import InputError, InternalCheckError
+from onerel.graphs import Graph, tree_path
 from onerel.hierarchy import (EpimorphismToZ, HNNStep, NoEpimorphism,
-                              build_hierarchy, find_epimorphism, hnn_step,
-                              number_lemma_check, number_lemma_oracle,
-                              prefix_sequence)
+                              _relator_path, _window_edges, build_hierarchy,
+                              find_epimorphism, hnn_step, number_lemma_check,
+                              number_lemma_oracle, prefix_sequence)
 from onerel.presentations import Presentation, parse_presentation
 from onerel.words import (Word, cyclic_reduce, exponent_vector, free_reduce,
-                          is_cyclic_conjugate)
+                          is_cyclic_conjugate, is_proper_power)
 
 from conftest import random_cyclically_reduced_word
 
@@ -252,6 +253,139 @@ class TestHNNStep:
                 is_cyclic_conjugate(core, w_stored.inverse())
             assert len(step.assoc_j0) == len(step.assoc_j1)
             done += 1
+
+
+def reference_step_parts(p, phi):
+    """An HNN step's forest answers as computed with one BFS per window.
+
+    The window, the sub-window on levels low..high-1 and the one on levels
+    low+1..high each get their own BFS forest; expansions read root paths
+    off the window's forest edge by edge.  Returns the expansions, the
+    rewritten relator, the base names and the two associated word lists, or
+    None when the BFS from level 0 misses a level of the window.
+    """
+    root_word, _ = is_proper_power(p.relators[0])
+    path, levels = _relator_path(root_word, phi)
+    low, high = min(levels), max(levels)
+    traversed = {(g, lvl) for g, lvl, _ in path}
+    window_edges = sorted(_window_edges(p.rank, phi, low, high),
+                          key=lambda e: (e not in traversed, e))
+
+    def window_graph(edges, lo, hi):
+        return Graph(range(lo, hi + 1), [(lvl, lvl + phi.values[g]) for g, lvl in edges])
+
+    tree_idx, parent = window_graph(window_edges, low, high).spanning_forest(roots=[0])
+    if any(link is None and v != 0 for v, link in parent.items()):
+        return None
+    tree = {window_edges[i] for i in tree_idx}
+
+    def letters_to(v):
+        return [(window_edges[i][0], d) for i, d in tree_path(parent, v)]
+
+    nontree = sorted(e for e in window_edges if e not in tree)
+    names, name_of = [], {}
+    for g, lvl in nontree:
+        name = f"{p.names[g]}{lvl - low}"
+        if name in name_of.values() or name in p.names:
+            name = f"{p.names[g]}_{lvl - low}"
+        name_of[(g, lvl)] = name
+        names.append(name)
+    expansions = {}
+    for g, lvl in nontree:
+        to_tail, to_head = letters_to(lvl), letters_to(lvl + phi.values[g])
+        expansions[name_of[(g, lvl)]] = Word(
+            to_tail + [(g, 1)] + [(i, -s) for i, s in reversed(to_head)])
+
+    def to_base(edge_path):
+        return Word([(names.index(name_of[(g, lvl)]), s) for g, lvl, s in edge_path
+                     if (g, lvl) not in tree])
+
+    def loops(shift):
+        lo, hi = low + shift, high - 1 + shift
+        sub_edges = sorted((g, lvl) for g, lvl in window_edges
+                           if lo <= lvl <= hi and lo <= lvl + phi.values[g] <= hi)
+        sub_tree, sub_parent = window_graph(sub_edges, lo, hi).spanning_forest()
+        component = {}
+        for v, link in sub_parent.items():
+            component[v] = v if link is None else component[link[2]]
+
+        def path_to(v):
+            return [(*sub_edges[i], d) for i, d in tree_path(sub_parent, v)]
+
+        out = []
+        for _, i in sorted((component[lvl], i) for i, (g, lvl) in enumerate(sub_edges)
+                           if i not in sub_tree):
+            g, lvl = sub_edges[i]
+            back = [(h, at, -d) for h, at, d in reversed(path_to(lvl + phi.values[g]))]
+            out.append(to_base(path_to(lvl) + [(g, lvl, 1)] + back))
+        return out
+
+    return expansions, to_base(path), names, loops(0), loops(1)
+
+
+def kernel_epimorphism(vec, u):
+    """A surjection to Z that kills exponent-sum vector ``vec``, built from ``u``.
+
+    ``u`` projected away from ``vec`` (``u`` itself when ``vec`` is 0), made
+    primitive; None when that is 0.
+    """
+    dot = sum(x * y for x, y in zip(u, vec))
+    norm = sum(x * x for x in vec)
+    values = [norm * x - dot * y for x, y in zip(u, vec)] if norm else u
+    g = math.gcd(*values)
+    return EpimorphismToZ(tuple(v // g for v in values)) if g else None
+
+
+class TestHNNStepAgainstSeparateBFS:
+    """One BFS for both sub-windows gives what a BFS per sub-window gave."""
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(raw=RAW_RELATORS, u=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+           phi_from=st.sampled_from(["find_epimorphism", "kernel", "balanced"]),
+           data=st.data())
+    def test_step_parts(self, raw, u, phi_from, data):
+        n, letters = raw
+        if phi_from == "balanced":
+            # every exponent sum is 0, so any phi kills the relator; a phi
+            # with a zero or with values sharing a factor splits sub-windows
+            letters = letters + data.draw(st.permutations([(i, -s) for i, s in letters]))
+        w, _ = cyclic_reduce(free_reduce(letters))
+        p = Presentation(["a", "b", "c", "d"][:n], [w])
+        try:
+            if phi_from == "find_epimorphism":
+                phi = find_epimorphism(p)
+            else:
+                phi = kernel_epimorphism(exponent_vector(w, n), u[:n])
+                if phi is None:
+                    return
+            step = hnn_step(p, phi)
+        except InputError:
+            return
+        except InternalCheckError as exc:
+            # a phi whose values on the relator's letters have a common
+            # factor leaves window levels that level 0 does not reach
+            assert "not reached from level 0" in str(exc)
+            assert reference_step_parts(p, phi) is None
+            return
+        expansions, relator_word, names, j0, j1 = reference_step_parts(p, phi)
+        assert list(step.expansions.items()) == list(expansions.items())
+        assert step.relator_word == relator_word
+        assert step.base.names == names
+        assert step.assoc_j0 == j0
+        assert step.assoc_j1 == j1
+
+    def test_two_bfs_per_step(self, monkeypatch):
+        calls = []
+        original = Graph.spanning_forest
+
+        def counted(self, *args, **kwargs):
+            calls.append(len(self.vertices))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "spanning_forest", counted)
+        step = hnn_step(parse_presentation(TREFOIL))
+        assert step.window == (0, 6)
+        assert calls == [7, 6]
 
 
 class TestHierarchy:
