@@ -250,6 +250,17 @@ def _cases():
                  ["complex", "--file", TREFOIL, "--quotient", "a -> (1 2)"])
     out += _both("quotient_option_bad_permutation",
                  ["complex", "--file", TREFOIL, "--quotient", "a -> (1 0), b -> ()"])
+    # the word grammar's refusals, one per message
+    for tag, word in (("end", "a*"), ("exponent", "a^x"), ("close_paren", "(a*b]"),
+                      ("comma", "[a b]"), ("trailing", "a b"), ("character", "a$b"),
+                      ("token", "*a")):
+        out += _both(f"fox_word_{tag}",
+                     ["fox", "--file", TREFOIL, "--gen", "a", "--word", word])
+    # the presentation file's refusals, one per message
+    for name in ("rels_before_gens", "unknown_stanza", "no_colon", "partition_bad_chunk",
+                 "partition_unknown_name", "partition_not_covering", "missing_gens"):
+        out += _both(f"hierarchy_file_{name}",
+                     ["hierarchy", "--file", f"{INPUTS}/{name}.grp"])
     out += _both("missing_file", ["complex", "--file", "samples/no_such.grp"])
     out += _both("bad_ring", ["jacobian", "--file", TREFOIL, "--ring", "R"])
     fox_ring = ["fox", "--file", TREFOIL, "--word", "a*b^-1", "--gen", "b", "--ring"]
