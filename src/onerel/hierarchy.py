@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, UnsupportedError
 from .graphs import Graph
 from .presentations import Presentation
 from .words import (Word, cyclic_reduce, exponent_vector, is_cyclic_conjugate,
@@ -308,7 +308,9 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
     """One Magnus step: split a one-relator presentation over a Z-cover.
 
     The relator must be cyclically reduced, killed by ``phi`` and must use at
-    least two generators.  Verifies on every call that back-substituting the
+    least two generators, and the window of ``phi`` must be connected: a
+    window whose levels level 0 does not all reach is refused with an
+    ``UnsupportedError``.  Verifies on every call that back-substituting the
     recorded expansions into the rewritten relator recovers a cyclic
     conjugate of the input (or its inverse) and that the rewritten relator is
     strictly shorter.
@@ -345,9 +347,13 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
     window_edges = _window_edges(p.rank, phi, low, high)
     tree, root, loops = _window_loops(
         sorted(window_edges, key=lambda e: (e not in traversed, e)), phi, low, high, [0])
+    # phi is onto, yet its values on the relator's letters may share a factor
+    # that the window's edges cannot bridge
     apart = [v for v, r in root.items() if r == v and v != 0]
     if apart:
-        raise InternalCheckError(f"window levels {apart} are not reached from level 0")
+        raise UnsupportedError(f"window levels {apart} are not reached from level 0 under "
+                               f"phi ({phi.render(p.names)}); the HNN step needs a "
+                               "connected window")
 
     base_names = []
     name_of = {}

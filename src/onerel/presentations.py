@@ -13,6 +13,12 @@ One file describes one presentation::
 ``x y x^-1 y^-1``, ``;`` separates relators and ``#`` starts a comment.
 Whitespace is insignificant inside expressions.  Relators are stored
 cyclically reduced, with the stripped conjugator kept alongside.
+
+Parsing has two caps, so that a short text cannot exhaust the stack or the
+memory: brackets nest at most ``MAX_NESTING`` deep, and the powers,
+commutators and products of one word expression, or of all the relators of
+one file, build at most ``MAX_WORD_LETTERS`` letters in all, counted before
+free reduction.  A text past either cap is refused with an ``InputError``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .oracles import parse_permutation
 from .words import Word, cyclic_reduce
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# the parser's caps, described in the module docstring
+MAX_NESTING = 100               # brackets deep
+MAX_WORD_LETTERS = 100_000      # letters built by one word or one file's relators
 
 
 class Presentation:
@@ -78,104 +87,93 @@ class Presentation:
 
 # -- word expression parsing ---------------------------------------------------
 
-
-class _Tokens:
-    def __init__(self, text):
-        self.tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "*^[](),;":
-                self.tokens.append(ch)
-                i += 1
-                continue
-            m = _NAME_RE.match(text, i)
-            if m:
-                self.tokens.append(m.group(0))
-                i = m.end()
-                continue
-            m = re.match(r"-?\d+", text[i:])
-            if m:
-                self.tokens.append(m.group(0))
-                i += m.end()
-                continue
-            raise InputError(f"unexpected character {ch!r} in word expression")
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise InputError("unexpected end of word expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise InputError(f"expected {tok!r}, got {got!r}")
+# a name, an integer or a mark; any other non-space character is the second group
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|-?\d+|[*^\[\](),;])|(\S))")
 
 
-def _parse_expr(toks, names):
+def _pop(toks, want=None):
+    """The next token of ``toks``, a token list read from its end; ``want`` if given."""
+    if not toks:
+        raise InputError("unexpected end of word expression")
+    if want and toks[-1] != want:
+        raise InputError(f"expected {want!r}, got {toks[-1]!r}")
+    return toks.pop()
+
+
+def _spend(budget, size):
+    """Take ``size`` letters from ``budget``, a one-item list that a file's words share."""
+    budget[0] -= size
+    if budget[0] < 0:
+        raise InputError(f"word expressions build more than {MAX_WORD_LETTERS} letters "
+                         "before free reduction, the supported maximum")
+
+
+def _parse_expr(toks, names, budget, depth):
+    word = _parse_factor(toks, names, budget, depth)
+    if toks[-1:] != ["*"]:
+        return word
     # free reduction is confluent, so reducing the factors' letters once
     # gives their product
-    letters = list(_parse_factor(toks, names).letters)
-    while toks.peek() == "*":
-        toks.next()
-        letters += _parse_factor(toks, names).letters
+    letters = list(word.letters)
+    while toks[-1:] == ["*"]:
+        toks.pop()
+        letters += _parse_factor(toks, names, budget, depth).letters
+    _spend(budget, len(letters))
     return Word(letters)
 
 
-def _parse_factor(toks, names):
-    atom = _parse_atom(toks, names)
-    while toks.peek() == "^":
-        toks.next()
-        exp_tok = toks.next()
+def _parse_factor(toks, names, budget, depth):
+    atom = _parse_atom(toks, names, budget, depth)
+    while toks[-1:] == ["^"]:
+        toks.pop()
+        exp_tok = _pop(toks)
         try:
             exp = int(exp_tok)
         except ValueError:
             raise InputError(f"expected an integer exponent, got {exp_tok!r}") from None
-        atom = atom ** exp
+        _spend(budget, len(atom) * abs(exp))
+        atom = atom ** exp if atom else atom    # the empty word's powers are empty
     return atom
 
 
-def _parse_atom(toks, names):
-    tok = toks.next()
+def _parse_atom(toks, names, budget, depth):
+    tok = _pop(toks)
     if tok == "1":
         return Word()
-    if tok == "(":
-        inner = _parse_expr(toks, names)
-        toks.expect(")")
-        return inner
-    if tok == "[":
-        x = _parse_expr(toks, names)
-        toks.expect(",")
-        y = _parse_expr(toks, names)
-        toks.expect("]")
-        return x * y * x.inverse() * y.inverse()
+    if tok in ("(", "["):
+        if depth == MAX_NESTING:
+            raise InputError(f"brackets nest more than {MAX_NESTING} deep, the supported maximum")
+        x = _parse_expr(toks, names, budget, depth + 1)
+        if tok == "(":
+            _pop(toks, ")")
+            return x
+        _pop(toks, ",")
+        y = _parse_expr(toks, names, budget, depth + 1)
+        _pop(toks, "]")
+        _spend(budget, 2 * (len(x) + len(y)))
+        return Word(x.letters + y.letters + x.inverse().letters + y.inverse().letters)
     if _NAME_RE.fullmatch(tok):
-        try:
-            index = names.index(tok)
-        except ValueError:
-            raise InputError(f"unknown generator {tok!r}") from None
-        return Word([(index, 1)])
+        if tok not in names:
+            raise InputError(f"unknown generator {tok!r}")
+        return Word([(names.index(tok), 1)])
     raise InputError(f"unexpected token {tok!r} in word expression")
+
+
+def _parse_word(text, names, budget):
+    pairs = _TOKEN_RE.findall(text)
+    for _, bad in pairs:
+        if bad:
+            raise InputError(f"unexpected character {bad!r} in word expression")
+    toks = [tok for tok, _ in reversed(pairs)]
+    word = _parse_expr(toks, names, budget, 0) if toks else Word()
+    if toks:
+        raise InputError(f"trailing token {toks[-1]!r} in word expression")
+    return word
 
 
 def parse_word(text, names) -> Word:
     """Parse a single word expression over the given generator names."""
-    toks = _Tokens(text)
-    if toks.peek() is None:
-        return Word()
-    word = _parse_expr(toks, names)
-    if toks.peek() is not None:
-        raise InputError(f"trailing token {toks.peek()!r} in word expression")
-    return word
+    return _parse_word(text, names, [MAX_WORD_LETTERS])
 
 
 # -- presentation files --------------------------------------------------------
@@ -209,18 +207,11 @@ def parse_quotient(text, names) -> dict:
     return {g: images[g] + tuple(range(len(images[g]), degree)) for g in names}
 
 
-def _strip_comment(line):
-    return line.split("#", 1)[0]
-
-
 def parse_presentation(text) -> Presentation:
-    gens = None
-    rels = []
-    partition = None
-    images = None
-    abelianize = False
+    gens, rels, partition, images, abelianize = None, [], None, None, False
+    budget = [MAX_WORD_LETTERS]
     for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "abelianize":
@@ -230,47 +221,35 @@ def parse_presentation(text) -> Presentation:
             raise InputError(f"cannot parse line {raw.strip()!r}")
         key, value = line.split(":", 1)
         key = key.strip().lower()
+        if key not in ("gens", "rels", "partition", "quotient"):
+            raise InputError(f"unknown stanza {key!r}")
+        if key != "gens" and gens is None:
+            raise InputError(f"{key} stanza before gens stanza")
         if key == "gens":
             gens = [g.strip() for g in value.split(",") if g.strip()]
         elif key == "rels":
-            if gens is None:
-                raise InputError("rels stanza before gens stanza")
-            rels = [parse_word(chunk, gens) for chunk in value.split(";") if chunk.strip()]
+            rels = [_parse_word(c, gens, budget) for c in value.split(";") if c.strip()]
         elif key == "partition":
-            if gens is None:
-                raise InputError("partition stanza before gens stanza")
             partition = {}
-            for chunk in value.split(";"):
-                if not chunk.strip():
-                    continue
+            for chunk in filter(str.strip, value.split(";")):
                 if "=" not in chunk:
                     raise InputError(f"bad partition chunk {chunk!r}")
                 tag, members = chunk.split("=", 1)
-                tag = tag.strip()
-                for member in members.split(","):
-                    member = member.strip()
-                    if member:
-                        partition[gens.index(member) if member in gens else _missing(member)] = tag
-        elif key == "quotient":
-            if gens is None:
-                raise InputError("quotient stanza before gens stanza")
-            images = parse_quotient(value, gens)
+                for member in filter(None, map(str.strip, members.split(","))):
+                    if member not in gens:
+                        raise InputError(f"partition names unknown generator {member!r}")
+                    partition[gens.index(member)] = tag.strip()
         else:
-            raise InputError(f"unknown stanza {key!r}")
+            images = parse_quotient(value, gens)
     if gens is None:
         raise InputError("presentation file is missing a gens stanza")
 
     p = Presentation(gens, rels, partition=partition, quotient_images=images,
                      abelianize=abelianize)
-    if partition is not None:
-        uncovered = [p.names[i] for i in range(p.rank) if i not in partition]
-        if uncovered:
-            raise InputError(f"partition does not cover {uncovered}")
+    uncovered = [g for i, g in enumerate(p.names) if partition is not None and i not in partition]
+    if uncovered:
+        raise InputError(f"partition does not cover {uncovered}")
     return p
-
-
-def _missing(member):
-    raise InputError(f"partition names unknown generator {member!r}")
 
 
 def load_presentation(path) -> Presentation:

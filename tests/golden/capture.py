@@ -261,6 +261,22 @@ def _cases():
                  "partition_unknown_name", "partition_not_covering", "missing_gens"):
         out += _both(f"hierarchy_file_{name}",
                      ["hierarchy", "--file", f"{INPUTS}/{name}.grp"])
+    # the parser's caps: nesting past MAX_NESTING, words past MAX_WORD_LETTERS
+    # (the 16 nested commutators spell 131,072 letters) and a file whose
+    # relators reach the budget together; a power of the empty word is empty
+    nested = "a"
+    for _ in range(16):
+        nested = f"[{nested}, b]"
+    for tag, word in (("deep_nesting", "(" * 500 + "a" + ")" * 500),
+                      ("huge_exponent", "a^99999999999999999999"),
+                      ("nested_commutators", nested),
+                      ("empty_power", "(a*a^-1)^99999999999999999999")):
+        out += _both(f"fox_word_{tag}",
+                     ["fox", "--file", TREFOIL, "--gen", "a", "--word", word])
+    for name in ("deep_nesting", "huge_exponent", "nested_commutators",
+                 "relators_over_budget"):
+        out += _both(f"hierarchy_file_{name}",
+                     ["hierarchy", "--file", f"{INPUTS}/{name}.grp"])
     out += _both("missing_file", ["complex", "--file", "samples/no_such.grp"])
     out += _both("bad_ring", ["jacobian", "--file", TREFOIL, "--ring", "R"])
     fox_ring = ["fox", "--file", TREFOIL, "--word", "a*b^-1", "--gen", "b", "--ring"]

@@ -4,7 +4,9 @@ Flag values are mutated from valid ones: permutation images on at most five
 points, explicit abelian images, coefficient domains, relator indices,
 engulf terms, words, sequences, product sets and graph chains, each possibly
 garbled character by character.  Numbers stay below the caps, so no example
-starts an expensive run.  The argv is then mutated as a whole: a flag is
+starts an expensive run; only words go past the word grammar's caps (deep
+brackets, huge exponents, nested commutators), which the parser refuses
+before it builds them.  The argv is then mutated as a whole: a flag is
 dropped, repeated or abbreviated, the flags are shuffled, or an unknown flag
 is inserted.  Whatever the input, a run ends with exit status 0, 1 or 2 and
 no traceback, and its ``--json`` report parses with ``schema``, ``command``
@@ -141,7 +143,11 @@ def quotient_flags(draw, command):
     return pairs
 
 
-WORDS = ["a*b*a^-1", "a^2*b^-3", "[a, b]*a^-1", "t*a*t^-1*a^-2", "1"]
+# each commutator level doubles the word: 20 levels spell millions of letters
+NESTED_COMMUTATORS = "[" * 20 + "a" + ", b]" * 20
+WORDS = ["a*b*a^-1", "a^2*b^-3", "[a, b]*a^-1", "t*a*t^-1*a^-2", "1",
+         "(" * 500 + "a" + ")" * 500, "a^99999999999999999999",
+         "(a*b^-1)^-99999999999999999999", NESTED_COMMUTATORS]
 UPCHECK_ORACLES = {
     "z": st.integers(-4, 4).map(str),
     "z2": st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onerel.errors import InputError, InternalCheckError
+from onerel.errors import InputError, UnsupportedError
 from onerel.graphs import Graph, tree_path
 from onerel.hierarchy import (EpimorphismToZ, HNNStep, NoEpimorphism,
                               _relator_path, _window_edges, build_hierarchy,
@@ -215,6 +215,21 @@ class TestHNNStep:
             "associated subgroups: [b0, b2, b1] -> [b1, b3, b2]",
         ])
 
+    def test_disconnected_window_is_refused(self):
+        # phi is onto, but a -> -2 and b -> 4 reach only the even levels of
+        # the window -4..0, and c -> 5 has no edge inside it
+        p = parse_presentation("gens: a, b, c\nrels: a^2*b")
+        with pytest.raises(UnsupportedError, match=r"levels \[-3\] are not reached from "
+                           r"level 0 under phi \(a -> -2, b -> 4, c -> 5\)"):
+            hnn_step(p, EpimorphismToZ((-2, 4, 5)))
+        # c -> 1 joins the odd levels: the same relator splits, so the check is
+        # the window's connectivity, not a gcd of phi on the relator's letters
+        step = hnn_step(p, EpimorphismToZ((-2, 4, 1)))
+        assert step.window == (-4, 0)
+        core, _ = cyclic_reduce(back_substitute(step))
+        assert is_cyclic_conjugate(core, p.relators[0]) or \
+            is_cyclic_conjugate(core, p.relators[0].inverse())
+
     def test_preconditions(self):
         with pytest.raises(InputError):
             hnn_step(parse_presentation("gens: a, b\nrels: a^4"))
@@ -359,13 +374,13 @@ class TestHNNStepAgainstSeparateBFS:
                 if phi is None:
                     return
             step = hnn_step(p, phi)
-        except InputError:
-            return
-        except InternalCheckError as exc:
+        except UnsupportedError as exc:
             # a phi whose values on the relator's letters have a common
             # factor leaves window levels that level 0 does not reach
             assert "not reached from level 0" in str(exc)
             assert reference_step_parts(p, phi) is None
+            return
+        except InputError:
             return
         expansions, relator_word, names, j0, j1 = reference_step_parts(p, phi)
         assert list(step.expansions.items()) == list(expansions.items())

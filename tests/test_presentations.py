@@ -1,11 +1,12 @@
+import re
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from onerel.errors import InputError
-from onerel.presentations import (Presentation, parse_presentation, parse_quotient,
-                                  parse_word)
+from onerel.presentations import (MAX_NESTING, MAX_WORD_LETTERS, Presentation,
+                                  parse_presentation, parse_quotient, parse_word)
 from onerel.words import Word
 
 
@@ -148,3 +149,254 @@ class TestPresentationFiles:
         assert w ** 2 is not w
         copy = Word(w.letters)
         assert copy == w and hash(copy) == hash(w)
+
+
+def nested_commutator(levels):
+    """``[[...[a, b], b]..., b]``: each level doubles the word's length."""
+    text = "a"
+    for _ in range(levels):
+        text = f"[{text}, b]"
+    return text
+
+
+class TestCaps:
+    NAMES = ["a", "b"]
+
+    def test_nesting_at_the_cap_parses(self):
+        text = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+        assert parse_word(text, self.NAMES) == Word([(0, 1)])
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 500])
+    def test_deeper_nesting_is_refused(self, depth):
+        for text in ("(" * depth + "a" + ")" * depth, nested_commutator(depth)):
+            with pytest.raises(InputError, match=f"nest more than {MAX_NESTING} deep"):
+                parse_word(text, self.NAMES)
+
+    def test_a_power_at_the_budget_parses(self):
+        assert len(parse_word(f"a^{MAX_WORD_LETTERS}", self.NAMES)) == MAX_WORD_LETTERS
+        assert len(parse_word("a^5040", self.NAMES)) == 5040
+
+    @pytest.mark.parametrize("text", [f"a^{MAX_WORD_LETTERS + 1}", "a^99999999999999999999",
+                                      "(a*b)^-99999999999999999999", nested_commutator(20),
+                                      nested_commutator(16)])
+    def test_words_past_the_budget_are_refused(self, text):
+        with pytest.raises(InputError, match=f"more than {MAX_WORD_LETTERS} letters"):
+            parse_word(text, self.NAMES)
+
+    def test_powers_of_the_empty_word_are_empty(self):
+        assert parse_word("(a*a^-1)^99999999999999999999", self.NAMES) == Word()
+        assert parse_word("[a, a]^-99999999999999999999", self.NAMES) == Word()
+
+    def test_a_file_shares_one_budget(self):
+        at_budget = f"a^{MAX_WORD_LETTERS}"
+        assert len(parse_presentation(f"gens: a\nrels: {at_budget}").relators[0]) \
+            == MAX_WORD_LETTERS
+        for text in (f"gens: a\nrels: {at_budget} ; a^2",
+                     "gens: a\nrels: " + " ; ".join([at_budget] * 1000),
+                     f"gens: a\nrels: {at_budget}\nrels: {at_budget}"):
+            with pytest.raises(InputError, match=f"more than {MAX_WORD_LETTERS} letters"):
+                parse_presentation(text)
+
+
+# -- the parser as it was before one token regex replaced its tokenizer ---------
+# The differential test below holds the rewrite to its byte-identical results
+# and error messages on inputs below the caps.
+
+class _ReferenceTokens:
+    def __init__(self, text):
+        self.tokens = []
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch in "*^[](),;":
+                self.tokens.append(ch)
+                i += 1
+                continue
+            m = re.compile(r"[A-Za-z][A-Za-z0-9_]*").match(text, i)
+            if m:
+                self.tokens.append(m.group(0))
+                i = m.end()
+                continue
+            m = re.match(r"-?\d+", text[i:])
+            if m:
+                self.tokens.append(m.group(0))
+                i += m.end()
+                continue
+            raise InputError(f"unexpected character {ch!r} in word expression")
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise InputError("unexpected end of word expression")
+        self.pos += 1
+        return tok
+
+    def expect(self, tok):
+        got = self.next()
+        if got != tok:
+            raise InputError(f"expected {tok!r}, got {got!r}")
+
+
+def _reference_expr(toks, names):
+    letters = list(_reference_factor(toks, names).letters)
+    while toks.peek() == "*":
+        toks.next()
+        letters += _reference_factor(toks, names).letters
+    return Word(letters)
+
+
+def _reference_factor(toks, names):
+    atom = _reference_atom(toks, names)
+    while toks.peek() == "^":
+        toks.next()
+        exp_tok = toks.next()
+        try:
+            exp = int(exp_tok)
+        except ValueError:
+            raise InputError(f"expected an integer exponent, got {exp_tok!r}") from None
+        atom = atom ** exp
+    return atom
+
+
+def _reference_atom(toks, names):
+    tok = toks.next()
+    if tok == "1":
+        return Word()
+    if tok == "(":
+        inner = _reference_expr(toks, names)
+        toks.expect(")")
+        return inner
+    if tok == "[":
+        x = _reference_expr(toks, names)
+        toks.expect(",")
+        y = _reference_expr(toks, names)
+        toks.expect("]")
+        return x * y * x.inverse() * y.inverse()
+    if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+        try:
+            index = names.index(tok)
+        except ValueError:
+            raise InputError(f"unknown generator {tok!r}") from None
+        return Word([(index, 1)])
+    raise InputError(f"unexpected token {tok!r} in word expression")
+
+
+def reference_parse_word(text, names):
+    toks = _ReferenceTokens(text)
+    if toks.peek() is None:
+        return Word()
+    word = _reference_expr(toks, names)
+    if toks.peek() is not None:
+        raise InputError(f"trailing token {toks.peek()!r} in word expression")
+    return word
+
+
+def _reference_strip_comment(line):
+    return line.split("#", 1)[0]
+
+
+def reference_parse_presentation(text):
+    gens = None
+    rels = []
+    partition = None
+    images = None
+    abelianize = False
+    for raw in text.splitlines():
+        line = _reference_strip_comment(raw).strip()
+        if not line:
+            continue
+        if line == "abelianize":
+            abelianize = True
+            continue
+        if ":" not in line:
+            raise InputError(f"cannot parse line {raw.strip()!r}")
+        key, value = line.split(":", 1)
+        key = key.strip().lower()
+        if key == "gens":
+            gens = [g.strip() for g in value.split(",") if g.strip()]
+        elif key == "rels":
+            if gens is None:
+                raise InputError("rels stanza before gens stanza")
+            rels = [reference_parse_word(chunk, gens) for chunk in value.split(";")
+                    if chunk.strip()]
+        elif key == "partition":
+            if gens is None:
+                raise InputError("partition stanza before gens stanza")
+            partition = {}
+            for chunk in value.split(";"):
+                if not chunk.strip():
+                    continue
+                if "=" not in chunk:
+                    raise InputError(f"bad partition chunk {chunk!r}")
+                tag, members = chunk.split("=", 1)
+                tag = tag.strip()
+                for member in members.split(","):
+                    member = member.strip()
+                    if member:
+                        partition[gens.index(member) if member in gens
+                                  else _reference_missing(member)] = tag
+        elif key == "quotient":
+            if gens is None:
+                raise InputError("quotient stanza before gens stanza")
+            images = parse_quotient(value, gens)
+        else:
+            raise InputError(f"unknown stanza {key!r}")
+    if gens is None:
+        raise InputError("presentation file is missing a gens stanza")
+    p = Presentation(gens, rels, partition=partition, quotient_images=images,
+                     abelianize=abelianize)
+    if partition is not None:
+        uncovered = [p.names[i] for i in range(p.rank) if i not in partition]
+        if uncovered:
+            raise InputError(f"partition does not cover {uncovered}")
+    return p
+
+
+def _reference_missing(member):
+    raise InputError(f"partition names unknown generator {member!r}")
+
+
+def outcome(parse, text, *args):
+    """What ``parse`` makes of ``text``: its value's parts, or its error's type and message."""
+    try:
+        value = parse(text, *args)
+    except InputError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, Word):
+        return value.letters
+    return (value.names, value.relators, value.relator_conjugators, value.partition,
+            value.quotient_images, value.abelianize_requested)
+
+
+# names, integers, marks, blanks and stray characters, valid or not in any order;
+# "x_1" and "ab" are names outside the alphabet, and "\u0663" is a decimal digit
+WORD_TOKENS = st.sampled_from(["a", "b", "t", "ab", "x_1", "1", "0", "2", "-1", "-3", "10",
+                               "\u0663", "-", "(", ")", "[", "]", ",", "*", "^", ";", " ",
+                               "\t", "\u00b7", "$"])
+FILE_LINES = st.sampled_from([
+    "gens: a, b", "gens: a, b, t", "gens:", "gens: a, a", "gens: 1a", "gens: a # b",
+    "rels: a^2*b^-3", "rels: [a, b] ; a*t", "rels: a*", "rels:", "rels: ; a",
+    "  rels: b*a*b^-1  ", "Rels : a", "rels a", "partition: A = a ; B = b", "partition:",
+    "partition: A = a", "partition: A a", "partition: A = c", "partition: A = a, b ; ; B =",
+    "quotient: a -> (1 2), b -> ()", "quotient: a -> (1 2)", "quotient: a (1 2), b -> ()",
+    "abelianize", "ABELIANIZE", "# comment", "", "frobs: 1"])
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(st.lists(WORD_TOKENS, max_size=14).map("".join),
+       st.sampled_from([["a", "b", "t"], ["a", "b"], ["ab", "a"]]))
+def test_words_parse_as_the_reference_parser_reads_them(text, names):
+    assert outcome(parse_word, text, names) == outcome(reference_parse_word, text, names)
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(st.lists(FILE_LINES, max_size=6).map("\n".join))
+def test_files_parse_as_the_reference_parser_reads_them(text):
+    assert outcome(parse_presentation, text) == outcome(reference_parse_presentation, text)
