@@ -211,6 +211,9 @@ def _cases():
     out += _both("weinbaum_cyclic6", ["weinbaum", "--file", CYCLIC6])
     out += _both("weinbaum_trefoil_quotient",
                  ["weinbaum", "--file", TREFOIL, "--quotient", LADDER[12]])
+    out += _both("weinbaum_repeats",
+                 ["weinbaum", "--file", f"{INPUTS}/weinbaum_repeats.grp"])
+    out += _both("weinbaum_long", ["weinbaum", "--file", f"{INPUTS}/weinbaum_long.grp"])
 
     out += _both("lift_theta", ["lift", "--graph", THETA, "--h-edges", "e1",
                                 "--cycle", "e1:1,e2:-1"])
@@ -273,6 +276,18 @@ def _cases():
                       ("empty_power", "(a*a^-1)^99999999999999999999")):
         out += _both(f"fox_word_{tag}",
                      ["fox", "--file", TREFOIL, "--gen", "a", "--word", word])
+    # exponents of 5,000 digits, past Python's limit on the digits int() reads
+    for tag, word in (("exponent_digits", "a^" + "9" * 5000),
+                      ("empty_power_digits", "(a*a^-1)^" + "9" * 5000)):
+        out += _both(f"fox_word_{tag}",
+                     ["fox", "--file", TREFOIL, "--gen", "a", "--word", word])
+    # the words of one flag together: two terms of 60,000 letters each
+    out += _both("engulf_terms_over_budget",
+                 ["engulf", "--file", TREFOIL, "--quotient", LADDER[6],
+                  "--terms", "a^60000:1;a^60000:1", "--field", "3"])
+    out += _both("upcheck_free_over_budget",
+                 ["upcheck", "--oracle", "free:a+b", "--A", "a^60000", "--B", "a^60000",
+                  "--k", "1"])
     for name in ("deep_nesting", "huge_exponent", "nested_commutators",
                  "relators_over_budget"):
         out += _both(f"hierarchy_file_{name}",
