@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .bsverify import qn_report
 from .covers import build_cover_complex, homology, weinbaum_scan
@@ -23,7 +23,7 @@ from .groupring import GroupRingElement, engulfing_search_finite, \
     unique_products_check
 from .hierarchy import build_hierarchy, number_lemma_check
 from .oracles import FreeOracle, ModOracle, ZPowOracle
-from .presentations import load_presentation, parse_quotient, parse_word
+from .presentations import load_presentation, parse_quotient, parse_word, parse_words
 from .trapezoid import StaircaseCertificate, certify_diagonal, find_staircase
 
 SCHEMA = 1
@@ -73,7 +73,7 @@ def _cmd_fox(args):
         "generator": args.gen,
         "derivative": d.render(),
     }
-    return payload, payload["derivative"]
+    return payload, lambda: payload["derivative"]
 
 
 def _cmd_jacobian(args):
@@ -81,9 +81,10 @@ def _cmd_jacobian(args):
     phi = _quotient_map(pres, args)
     comp = resolution_complex(pres, phi, parse_domain(args.ring))
     rows = comp.d2.render_rows()
-    text = "\n".join(
-        f"{pres.relators[i].render(pres.names)}: [" + ", ".join(row) + "]"
-        for i, row in enumerate(rows))
+
+    def text():
+        return "\n".join(f"{label}: [" + ", ".join(row) + "]"
+                         for label, row in zip(comp.d2.row_labels, rows)) or "(no relators)"
     return {
         "quotient_kind": phi.kind,
         "rows": rows,
@@ -91,7 +92,7 @@ def _cmd_jacobian(args):
         "col_labels": comp.d2.col_labels,
         "d1": [e.render() for e in comp.d1],
         "composite_zero": True,
-    }, text or "(no relators)"
+    }, text
 
 
 def _cmd_complex(args):
@@ -118,11 +119,11 @@ def _cmd_complex(args):
         with open(args.triplets, "w", encoding="utf-8") as fh:
             fh.write(c.to_triplet_text() + "\n")
         payload["triplets_file"] = args.triplets
-    text = (f"cover of degree {degree}, group order {order}\n"
-            f"composite is zero: {payload['composite_zero']}\n"
-            f"{h.render()}\n"
-            f"full rows generate the cycle lattice: {payload['generation_full_rows']}")
-    return payload, text
+    return payload, lambda: (
+        f"cover of degree {degree}, group order {order}\n"
+        f"composite is zero: {payload['composite_zero']}\n"
+        f"{h.render()}\n"
+        f"full rows generate the cycle lattice: {payload['generation_full_rows']}")
 
 
 def _cmd_trapezoid(args):
@@ -134,10 +135,9 @@ def _cmd_trapezoid(args):
                             cap=args.cap)
     if not isinstance(result, StaircaseCertificate):
         return {"staircase": None, "mode": result.mode,
-                "reason": result.reason}, f"impossible: {result.reason}"
+                "reason": result.reason}, lambda: f"impossible: {result.reason}"
     payload = {"staircase": {"rows": list(result.rows), "cols": list(result.cols),
                              "diag": list(result.diag)}}
-    text = result.render()
     if args.certify:
         report = certify_diagonal(matrix, result, strategy=args.certify)
         payload["diagonal"] = [
@@ -145,8 +145,9 @@ def _cmd_trapezoid(args):
              "witness": rep.witness.render() if rep.witness else None}
             for rep in report.certificates]
         payload["all_non_engulfing"] = report.all_non_engulfing
-        text += f"\nall diagonal entries non-engulfing: {report.all_non_engulfing}"
-    return payload, text
+    return payload, lambda: result.render() + (
+        f"\nall diagonal entries non-engulfing: {payload['all_non_engulfing']}"
+        if args.certify else "")
 
 
 def _node_payload(node):
@@ -180,7 +181,7 @@ def _cmd_hierarchy(args):
     parse_domain(args.ring)     # checked only: the hierarchy takes no coefficients
     tree = build_hierarchy(pres, max_depth=args.max_depth)
     return {"tree": _node_payload(tree.root), "depth": tree.depth(),
-            "leaves": [n.status for n in tree.leaves()]}, tree.render()
+            "leaves": [n.status for n in tree.leaves()]}, tree.render
 
 
 def _cmd_seqcheck(args):
@@ -188,30 +189,36 @@ def _cmd_seqcheck(args):
     verdict = number_lemma_check(args.a, args.b, values)
     return {"a": args.a, "b": args.b, "seq": values,
             "verdict": verdict.kind, "index": verdict.index,
-            "sum": verdict.total}, verdict.render()
+            "sum": verdict.total}, verdict.render
 
 
 def _make_oracle(spec):
+    """The oracle of ``spec`` and a parser of a list of its element texts.
+
+    The words of a free group share one letter budget.
+    """
     spec = spec.strip()
     if spec in ("z", "Z"):
-        return ZPowOracle(1), lambda s: (_integer(s, "element"),)
+        return ZPowOracle(1), lambda texts: [(_integer(s, "element"),) for s in texts]
     if spec in ("z2", "Z2"):
-        return ZPowOracle(2), lambda s: tuple(_integer(x, "element") for x in s.split(":"))
+        return ZPowOracle(2), lambda texts: [
+            tuple(_integer(x, "element") for x in s.split(":")) for s in texts]
     if spec.startswith("mod:"):
         oracle = ModOracle(_integer(spec[4:], "modulus"))
-        return oracle, lambda s: _integer(s, "element") % oracle.n
+        return oracle, lambda texts: [_integer(s, "element") % oracle.n for s in texts]
     if spec.startswith("free:"):
         names = [n.strip() for n in spec[5:].split("+")]
         oracle = FreeOracle(names)
-        return oracle, lambda s: parse_word(s, names)
+        return oracle, lambda texts: parse_words(texts, names)
     raise InputError(f"unknown oracle spec {spec!r} "
                      "(use z, z2, mod:N or free:a+b)")
 
 
 def _cmd_upcheck(args):
     oracle, parse = _make_oracle(args.oracle)
-    A = [parse(s) for s in args.A.split(",") if s.strip()]
-    B = [parse(s) for s in args.B.split(",") if s.strip()]
+    a_texts = [s for s in args.A.split(",") if s.strip()]
+    elements = parse(a_texts + [s for s in args.B.split(",") if s.strip()])
+    A, B = elements[:len(a_texts)], elements[len(a_texts):]
     report = unique_products_check(oracle, A, B, args.k, args.side)
     payload = {
         "oracle": args.oracle, "k": args.k, "side": args.side,
@@ -220,9 +227,9 @@ def _cmd_upcheck(args):
         "distinct_factor_count": report.distinct_factor_count,
         "verdict": report.verdict,
     }
-    return payload, f"verdict: {report.verdict} " \
-                    f"({len(report.unique_products)} uniquely represented, " \
-                    f"{report.distinct_factor_count} distinct factors)"
+    return payload, lambda: (f"verdict: {report.verdict} "
+                             f"({len(report.unique_products)} uniquely represented, "
+                             f"{report.distinct_factor_count} distinct factors)")
 
 
 def _required(value, message):
@@ -244,13 +251,11 @@ def _cmd_engulf(args):
         pres = load_presentation(_required(args.file, "engulf needs --file or --cyclic"))
         q = _finite_quotient(pres, args)
         domain = parse_domain(args.field)
-        terms = []
-        for chunk in _required(args.terms, "--file needs --terms").split(";"):
-            if not chunk.strip():
-                continue
-            word_text, _, coeff = chunk.rpartition(":")
-            w = parse_word(word_text.strip(), pres.names)
-            terms.append((q.apply(w), _integer(coeff, "coefficient")))
+        chunks = [chunk.rpartition(":") for chunk in
+                  _required(args.terms, "--file needs --terms").split(";") if chunk.strip()]
+        words = parse_words([word_text.strip() for word_text, _, _ in chunks], pres.names)
+        terms = [(q.apply(w), _integer(coeff, "coefficient"))
+                 for w, (_, _, coeff) in zip(words, chunks)]
         oracle = q.oracle
         m = GroupRingElement(oracle, domain, terms)
     report = engulfing_search_finite(m, side=args.side)
@@ -259,11 +264,9 @@ def _cmd_engulf(args):
         "witness": report.witness.render() if report.witness else None,
         "kernel_dimension": report.kernel_dimension,
     }
-    if report.witness:
-        text = f"WitnessFound: {payload['witness']}"
-    else:
-        text = f"NoneExists (solution space dimension {report.kernel_dimension})"
-    return payload, text
+    return payload, lambda: (
+        f"WitnessFound: {payload['witness']}" if report.witness
+        else f"NoneExists (solution space dimension {report.kernel_dimension})")
 
 
 def _cmd_weinbaum(args):
@@ -279,9 +282,9 @@ def _cmd_weinbaum(args):
     certified = sum(1 for s in scan if s.status == "NontrivialCertified")
     payload = {"relator": w.render(pres.names), "subwords": statuses,
                "certified": certified, "total": len(scan)}
-    text = "\n".join(f"{s['subword']}: {s['status']} (image {s['image']})"
-                     for s in statuses) + f"\ncertified {certified} of {len(scan)}"
-    return payload, text
+    return payload, lambda: "\n".join(
+        f"{s['subword']}: {s['status']} (image {s['image']})"
+        for s in statuses) + f"\ncertified {certified} of {len(scan)}"
 
 
 def _cmd_lift(args):
@@ -296,7 +299,7 @@ def _cmd_lift(args):
     result = lift_cycle(graph, h_edges, chain, domain)
     if isinstance(result, NotApplicable):
         return {"applicable": False, "reason": result.reason}, \
-            f"not applicable: {result.reason}"
+            lambda: f"not applicable: {result.reason}"
     walk = [(graph.label(e), s) for e, s in result.cycle_walk]
     payload = {
         "applicable": True,
@@ -305,17 +308,15 @@ def _cmd_lift(args):
         "k_coefficients": [str(c) for c in result.k_coefficients],
         "verified": result.verified,
     }
-    text = ("embedded cycle: " +
-            " ".join(lab if s > 0 else f"{lab}^-1" for lab, s in walk) +
-            f"\nunit: {result.unit}\nre-verified: {result.verified}")
-    return payload, text
+    return payload, lambda: (
+        "embedded cycle: " + " ".join(lab if s > 0 else f"{lab}^-1" for lab, s in walk) +
+        f"\nunit: {result.unit}\nre-verified: {result.verified}")
 
 
 def _cmd_verify_example(args):
     report = qn_report(args.n)
-    text = (f"{report['relator']}  =>  {report['rearranged']}\n"
-            f"{report['identity']}: {report['verdict']}")
-    return report, text
+    return report, lambda: (f"{report['relator']}  =>  {report['rearranged']}\n"
+                            f"{report['identity']}: {report['verdict']}")
 
 
 # -- the subcommand table -------------------------------------------------------
@@ -393,14 +394,19 @@ def build_parser():
 
 
 def _run(args):
-    """(exit status, report dict, text) of the parsed subcommand ``args``."""
+    """(exit status, report dict, text) of the parsed subcommand ``args``.
+
+    A handler returns its payload and a function that builds the text view,
+    so that the text is built only without ``--json``; with it, the text is
+    ``None``.
+    """
     try:
         payload, text = _SUBCOMMANDS[args.command][0](args)
     except (InputError, UnsupportedError, OSError) as exc:
         return 1, {"schema": SCHEMA, "command": args.command,
                    "error": str(exc)}, f"error: {exc}"
     report = {"schema": SCHEMA, "command": args.command, "results": payload}
-    return 0, report, text
+    return 0, report, None if args.json else text()
 
 
 def dispatch(argv):
@@ -408,10 +414,47 @@ def dispatch(argv):
     return _run(build_parser().parse_args(argv))
 
 
+def _write_json(value, newline, out):
+    """Append the JSON of ``value`` to the list ``out``, nested at ``newline``.
+
+    The bytes are those of ``json.dumps(value, sort_keys=True, indent=1,
+    separators=(",", ": "))``: ASCII strings, each item of a non-empty list
+    or object on its own line indented one space further than its bracket.
+    Object keys must be strings; a value other than a string, an integer, a
+    bool, ``None``, a list, a tuple or a dict raises ``TypeError``.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, opener = newline + " ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], inner, out)
+            opener = ","
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, opener = newline + " ", "["
+        for item in value:
+            out.append(opener + inner)
+            _write_json(item, inner, out)
+            opener = ","
+        out.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render(report, fmt="text", text=""):
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, separators=(",", ": "),
-                          indent=1) + "\n"
+        out = []
+        _write_json(report, "\n", out)
+        out.append("\n")
+        return "".join(out)
     return text + "\n"
 
 

@@ -22,13 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domains import Domain, ZZ
-from .errors import InputError
+from .errors import InputError, UnsupportedError
 from .foxcalc import QuotientMap
 from .graphs import Graph
 # ``solve_left`` is unused; the benchmark's tracer test patches ``covers.solve_left``.
 from .intlinalg import field_rank, quotient_invariants, solve_left, spans_saturated
 from .presentations import Presentation
-from .words import Word, proper_subwords
+from .words import Word
+
+# The longest relator that weinbaum_scan takes.  A relator of n letters has
+# n(n - 1) proper cyclic subwords before deduplication, each a line of output:
+# 64 letters give at most 4,032; the workloads reach 24 and the tests 12.
+MAX_WEINBAUM_LETTERS = 64
 
 
 @dataclass
@@ -219,13 +224,34 @@ def weinbaum_scan(w: Word, q: QuotientMap) -> list:
     """Certify proper cyclic subwords nontrivial via their quotient images.
 
     A non-identity image proves the subword avoids the relators' normal
-    closure; an identity image is inconclusive and reported as Unknown.
+    closure; an identity image is inconclusive and reported as Unknown.  The
+    subwords are those of :func:`~onerel.words.proper_subwords` in cyclic
+    mode, in its order: by start position, then by length, each distinct
+    subword once.  One walk from each start position gives the images of all
+    its lengths.  A relator of more than ``MAX_WEINBAUM_LETTERS`` letters is
+    refused with :class:`~onerel.errors.UnsupportedError`.
     """
+    ls = w.letters
+    n = len(ls)
+    if n > MAX_WEINBAUM_LETTERS:
+        raise UnsupportedError(f"the relator has {n} letters; weinbaum scans relators of "
+                               f"at most {MAX_WEINBAUM_LETTERS} letters, the supported maximum")
+    if n and not w.is_cyclically_reduced():
+        raise InputError("cyclic subword enumeration requires a cyclically reduced word")
+    oracle = q.oracle
+    ident, multiply = oracle.identity(), oracle.multiply
+    doubled = ls + ls
+    steps = list(map(q.letter_images.__getitem__, doubled))
+    seen = set()
     out = []
-    ident = q.oracle.identity()
-    for sub in proper_subwords(w, cyclic=True):
-        img = q.apply(sub)
-        status = "Unknown" if img == ident else "NontrivialCertified"
-        out.append(SubwordStatus(subword=sub, status=status,
-                                 image=q.oracle.render(img)))
+    for start in range(n):
+        img = ident
+        for end in range(start + 1, start + n):
+            img = multiply(img, steps[end - 1])
+            sub = doubled[start:end]
+            if sub not in seen:
+                seen.add(sub)
+                status = "Unknown" if img == ident else "NontrivialCertified"
+                out.append(SubwordStatus(subword=Word.trusted(sub), status=status,
+                                         image=oracle.render(img)))
     return out

@@ -10,6 +10,9 @@ occurrences contribute minus the prefix including the letter.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .domains import Domain, ZZ
 from .errors import InputError, InternalCheckError
 from .groupring import GroupRingElement, GroupRingMatrix
@@ -46,7 +49,7 @@ def fundamental_identity_check(w: Word, alphabet_size: int) -> bool:
     one = GroupRingElement.one(oracle, ZZ)
     total = GroupRingElement.zero(oracle, ZZ)
     for s in range(alphabet_size):
-        gen = GroupRingElement.of(oracle, ZZ, Word([(s, 1)]))
+        gen = GroupRingElement.of(oracle, ZZ, Word.trusted(((s, 1),)))
         total = total + fox_derivative(w, s, oracle) * (gen - one)
     return total == GroupRingElement.of(oracle, ZZ, w) - one
 
@@ -57,6 +60,9 @@ class QuotientMap:
     Kinds: ``trivial``, ``abelian`` (images in Z^k; the default images give
     the full abelianisation) and ``permutation``.  Construction verifies that
     every relator maps to the identity, naming the first that does not.
+    ``letter_images`` maps each letter ``(index, sign)`` to its image, the
+    inverse letters' images inverted once here, so that a walk along a word
+    only multiplies.
     """
 
     def __init__(self, presentation: Presentation, kind, oracle, images):
@@ -64,6 +70,10 @@ class QuotientMap:
         self.kind = kind
         self.oracle = oracle
         self.images = dict(images)  # generator index -> oracle element
+        self.letter_images = {}
+        for i, image in self.images.items():
+            self.letter_images[i, 1] = image
+            self.letter_images[i, -1] = oracle.invert(image)
         for idx, w in enumerate(presentation.relators):
             if self.apply(w) != oracle.identity():
                 name = w.render(presentation.names)
@@ -117,16 +127,13 @@ class QuotientMap:
 
     def prefix_images(self, w: Word) -> list:
         """Images of the prefixes of ``w``, of lengths 0 to ``len(w)``, in one walk."""
-        oracle, images = self.oracle, self.images
-        out = oracle.identity()
-        outs = [out]
-        for i, s in w.letters:
-            out = oracle.multiply(out, images[i] if s > 0 else oracle.invert(images[i]))
-            outs.append(out)
-        return outs
+        return list(itertools.accumulate(map(self.letter_images.__getitem__, w.letters),
+                                         self.oracle.multiply, initial=self.oracle.identity()))
 
     def apply(self, w: Word):
-        return self.prefix_images(w)[-1]
+        return functools.reduce(self.oracle.multiply,
+                                map(self.letter_images.__getitem__, w.letters),
+                                self.oracle.identity())
 
 
 def jacobian(presentation: Presentation, quotient: QuotientMap,
@@ -165,20 +172,35 @@ class ResolutionComplex:
         self.quotient = quotient
         self.domain = domain
         self.d2 = jacobian(presentation, quotient, domain)
-        oracle = quotient.oracle
-        one = GroupRingElement.one(oracle, domain)
-        self.d1 = [GroupRingElement.of(oracle, domain, quotient.apply(Word([(s, 1)]))) - one
+        ident = quotient.oracle.identity()
+        self.d1 = [GroupRingElement(quotient.oracle, domain,
+                                    [(quotient.images[s], 1), (ident, -1)])
                    for s in range(presentation.rank)]
         self._verify()
 
     def _verify(self):
-        for i in range(self.d2.nrows):
-            total = GroupRingElement.zero(self.d2.oracle, self.domain)
-            for j in range(self.d2.ncols):
-                total = total + self.d2.entry(i, j) * self.d1[j]
-            if not total.is_zero():
+        """Check ``d1 o d2 = 0`` and ``d0 o d1 = 0`` exactly.
+
+        Row ``i`` of ``d1 o d2`` is the sum over ``j`` of ``d2[i][j] * (phi(s_j) - 1)``:
+        each term ``c*g`` of ``d2[i][j]`` adds ``c`` at ``g * phi(s_j)`` and
+        ``-c`` at ``g``, all into one map, and the sums are then brought to
+        the domain's normal form.  By Fox's fundamental formula the row is
+        ``phi(r_i) - 1``, which vanishes since ``phi`` kills the relator.
+        """
+        oracle, coerce = self.d2.oracle, self.domain.coerce
+        multiply, images = oracle.multiply, self.quotient.images
+        for i, row in enumerate(self.d2.entries):
+            total = {}
+            for j, entry in enumerate(row):
+                h = images[j]
+                for g, c in entry.terms.items():
+                    gh = multiply(g, h)
+                    total[gh] = total.get(gh, 0) + c
+                    total[g] = total.get(g, 0) - c
+            if any(map(coerce, total.values())):
+                nonzero = GroupRingElement(oracle, self.domain, total.items())
                 raise InternalCheckError(
-                    f"d1 o d2 is nonzero on relator row {i}: {total.render()}")
+                    f"d1 o d2 is nonzero on relator row {i}: {nonzero.render()}")
         for col in self.d1:
             if self.domain.coerce(sum(col.terms.values())):
                 raise InternalCheckError("d0 o d1 is nonzero")

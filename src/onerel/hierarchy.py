@@ -111,7 +111,7 @@ def prefix_sequence(w: Word, phi: EpimorphismToZ, partition) -> PrefixSequence:
         # first and last runs share a factor: pass to the cyclic conjugate
         # starting at the first factor boundary, where the runs merge
         shift = len(syllables[0][1])
-        w = Word(w.letters[shift:] + w.letters[:shift], _reduced=True)
+        w = Word.trusted(w.letters[shift:] + w.letters[:shift])
         decomp = syllable_decompose(w, partition)
         syllables = decomp.syllables
     if len(syllables) % 2:
@@ -365,18 +365,21 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
         base_names.append(name)
     base_index = {name: i for i, name in enumerate(base_names)}
 
+    # Two adjacent letters cancel exactly when the lifted walk steps back along
+    # the edge it came by.  A forest loop never does, and neither does the
+    # lifted root (it is cyclically reduced) nor a loop shifted up a level.
+    # Dropping forest edges from such a walk cancels nothing either: a
+    # non-forest edge and its reverse with only forest edges between them
+    # would close a walk in the forest, which must step back.  So the words
+    # below are reduced as built.
     # expansions: base generator -> its loop's word in the source free group
-    expansions = {name_of[edge]: Word([(g, d) for g, _, d in loop])
+    expansions = {name_of[edge]: Word.trusted([(g, d) for g, _, d in loop])
                   for edge, loop in loops}
+    letter_of = {edge: base_index[name] for edge, name in name_of.items()}
 
     def path_to_base_word(edge_path):
-        letters = []
-        for g, lvl, sign in edge_path:
-            edge = (g, lvl)
-            if edge in tree:
-                continue
-            letters.append((base_index[name_of[edge]], sign))
-        return Word(letters)
+        return Word.trusted([(letter_of[g, lvl], sign) for g, lvl, sign in edge_path
+                             if (g, lvl) not in tree])
 
     u_root = path_to_base_word(path)
     if len(u_root) >= len(root_word):
@@ -388,7 +391,7 @@ def hnn_step(p: Presentation, phi: EpimorphismToZ | None = None) -> HNNStep:
     for i, s in u_root.letters:
         piece = expansions[base_names[i]]
         substituted.extend(piece.letters if s > 0 else piece.inverse().letters)
-    recovered = Word(substituted)
+    recovered = Word.trusted(substituted, reduce=True)
     rec_core, _ = cyclic_reduce(recovered)
     if not (is_cyclic_conjugate(rec_core, root_word)
             or is_cyclic_conjugate(rec_core, root_word.inverse())):
@@ -526,7 +529,7 @@ def _split(node: HierarchyNode, max_depth):
     if len(used) < pres.rank:
         removed = [pres.names[i] for i in range(pres.rank) if i not in used]
         remap = {old: new for new, old in enumerate(used)}
-        relator = Word([(remap[i], s) for i, s in w.letters])
+        relator = Word.trusted([(remap[i], s) for i, s in w.letters])
         sub = Presentation([pres.names[i] for i in used], [relator])
         return sub, "restrict", {"removed": removed, "free_rank_split_off": len(removed)}
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import re
 from itertools import compress
-from operator import ne
+from operator import add, ne, neg
 
 from .errors import InputError, UnsupportedError
 from .magnus import magnus_compare
@@ -125,10 +125,10 @@ class ZPowOracle(GroupOracle):
         return (0,) * self.rank
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def invert(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def is_finite(self):
         return self.rank == 0

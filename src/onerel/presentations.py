@@ -108,72 +108,97 @@ def _spend(budget, size):
                          "before free reduction, the supported maximum")
 
 
-def _parse_expr(toks, names, budget, depth):
-    word = _parse_factor(toks, names, budget, depth)
-    if toks[-1:] != ["*"]:
+# The parser takes ``atoms``, each generator name's one-letter word, in place
+# of the names: every letter it builds comes from there, so it never checks one.
+
+
+def _parse_expr(toks, atoms, budget, depth):
+    word = _parse_factor(toks, atoms, budget, depth)
+    if not toks or toks[-1] != "*":
         return word
     # free reduction is confluent, so reducing the factors' letters once
     # gives their product
     letters = list(word.letters)
-    while toks[-1:] == ["*"]:
+    while toks and toks[-1] == "*":
         toks.pop()
-        letters += _parse_factor(toks, names, budget, depth).letters
+        letters += _parse_factor(toks, atoms, budget, depth).letters
     _spend(budget, len(letters))
-    return Word(letters)
+    return Word.trusted(letters, reduce=True)
 
 
-def _parse_factor(toks, names, budget, depth):
-    atom = _parse_atom(toks, names, budget, depth)
-    while toks[-1:] == ["^"]:
+def _parse_factor(toks, atoms, budget, depth):
+    atom = _parse_atom(toks, atoms, budget, depth)
+    while toks and toks[-1] == "^":
         toks.pop()
         exp_tok = _pop(toks)
-        try:
-            exp = int(exp_tok)
-        except ValueError:
-            raise InputError(f"expected an integer exponent, got {exp_tok!r}") from None
+        if not exp_tok.lstrip("-").isdecimal():
+            raise InputError(f"expected an integer exponent, got {exp_tok!r}")
+        if not atom:
+            continue    # the empty word's powers are empty, at any exponent
+        digits = exp_tok.lstrip("-").lstrip("0") or "0"
+        if len(digits) > len(str(budget[0])):
+            # the power needs more letters than the budget has left, so its
+            # digits, perhaps more than int() reads, are never read
+            _spend(budget, budget[0] + 1)
+        exp = -int(digits) if exp_tok.startswith("-") else int(digits)
         _spend(budget, len(atom) * abs(exp))
-        atom = atom ** exp if atom else atom    # the empty word's powers are empty
+        atom = atom ** exp
     return atom
 
 
-def _parse_atom(toks, names, budget, depth):
+def _parse_atom(toks, atoms, budget, depth):
     tok = _pop(toks)
     if tok == "1":
-        return Word()
+        return Word.trusted(())
     if tok in ("(", "["):
         if depth == MAX_NESTING:
             raise InputError(f"brackets nest more than {MAX_NESTING} deep, the supported maximum")
-        x = _parse_expr(toks, names, budget, depth + 1)
+        x = _parse_expr(toks, atoms, budget, depth + 1)
         if tok == "(":
             _pop(toks, ")")
             return x
         _pop(toks, ",")
-        y = _parse_expr(toks, names, budget, depth + 1)
+        y = _parse_expr(toks, atoms, budget, depth + 1)
         _pop(toks, "]")
         _spend(budget, 2 * (len(x) + len(y)))
-        return Word(x.letters + y.letters + x.inverse().letters + y.inverse().letters)
+        return Word.trusted(x.letters + y.letters + x.inverse().letters
+                            + y.inverse().letters, reduce=True)
     if _NAME_RE.fullmatch(tok):
-        if tok not in names:
+        if tok not in atoms:
             raise InputError(f"unknown generator {tok!r}")
-        return Word([(names.index(tok), 1)])
+        return atoms[tok]
     raise InputError(f"unexpected token {tok!r} in word expression")
 
 
-def _parse_word(text, names, budget):
+def _parse_word(text, atoms, budget):
     pairs = _TOKEN_RE.findall(text)
     for _, bad in pairs:
         if bad:
             raise InputError(f"unexpected character {bad!r} in word expression")
     toks = [tok for tok, _ in reversed(pairs)]
-    word = _parse_expr(toks, names, budget, 0) if toks else Word()
+    word = _parse_expr(toks, atoms, budget, 0) if toks else Word.trusted(())
     if toks:
         raise InputError(f"trailing token {toks[-1]!r} in word expression")
     return word
 
 
+def _atoms(names):
+    """Each generator name's one-letter word; the first of a repeated name wins."""
+    atoms = {}
+    for i, name in enumerate(names):
+        atoms.setdefault(name, Word.trusted(((i, 1),)))
+    return atoms
+
+
 def parse_word(text, names) -> Word:
     """Parse a single word expression over the given generator names."""
-    return _parse_word(text, names, [MAX_WORD_LETTERS])
+    return _parse_word(text, _atoms(names), [MAX_WORD_LETTERS])
+
+
+def parse_words(texts, names) -> list:
+    """Parse word expressions that share one letter budget, as a file's relators do."""
+    atoms, budget = _atoms(names), [MAX_WORD_LETTERS]
+    return [_parse_word(text, atoms, budget) for text in texts]
 
 
 # -- presentation files --------------------------------------------------------
@@ -210,6 +235,7 @@ def parse_quotient(text, names) -> dict:
 def parse_presentation(text) -> Presentation:
     gens, rels, partition, images, abelianize = None, [], None, None, False
     budget = [MAX_WORD_LETTERS]
+    atoms = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -227,8 +253,9 @@ def parse_presentation(text) -> Presentation:
             raise InputError(f"{key} stanza before gens stanza")
         if key == "gens":
             gens = [g.strip() for g in value.split(",") if g.strip()]
+            atoms = _atoms(gens)
         elif key == "rels":
-            rels = [_parse_word(c, gens, budget) for c in value.split(";") if c.strip()]
+            rels = [_parse_word(c, atoms, budget) for c in value.split(";") if c.strip()]
         elif key == "partition":
             partition = {}
             for chunk in filter(str.strip, value.split(";")):

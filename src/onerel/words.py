@@ -1,9 +1,17 @@
 """Freely reduced words over a finite alphabet of named generators.
 
 A :class:`Word` stores a tuple of ``(generator index, sign)`` pairs and is
-always freely reduced; the only entry point that accepts raw letters is
-:func:`free_reduce`.  Words are immutable and hashable, so they can be used
+always freely reduced.  Words are immutable and hashable, so they can be used
 as group-ring support keys and shared between threads.
+
+Letters are validated where they enter the library: ``Word(letters)``
+refuses a negative generator index or a sign other than +-1 and reduces,
+:func:`free_reduce` does the same and can also bound the indices, and the
+parser in :mod:`onerel.presentations` builds letters only from generator
+names it knows.  A word made inside the library from the letters of existing
+words is already valid, so it is built by :meth:`Word.trusted`, with no
+check, and reduced only where letters can cancel: at the seam of a product,
+or when a caller asks.
 """
 
 from __future__ import annotations
@@ -18,17 +26,26 @@ class Word:
 
     __slots__ = ("letters", "_hash")
 
-    def __init__(self, letters=(), _reduced=False):
+    def __init__(self, letters=()):
         letters = tuple((int(i), int(s)) for i, s in letters)
         for i, s in letters:
             if i < 0:
                 raise InputError(f"negative generator index {i}")
             if s not in (1, -1):
                 raise InputError(f"letter sign must be +-1, got {s}")
-        if not _reduced:
-            letters = _reduce_letters(letters)
-        self.letters = letters
+        self.letters = _reduce_letters(letters)
         self._hash = None
+
+    @classmethod
+    def trusted(cls, letters, reduce=False):
+        """A word of letters taken from valid words: no check, reduced only if ``reduce``.
+
+        Without ``reduce`` the letters must already be freely reduced.
+        """
+        w = object.__new__(cls)
+        w.letters = _reduce_letters(letters) if reduce else tuple(letters)
+        w._hash = None
+        return w
 
     # -- basic protocol ----------------------------------------------------
 
@@ -52,20 +69,29 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        # both factors are reduced, so letters cancel only across the seam
+        left, right = self.letters, other.letters
+        k, n = 0, min(len(left), len(right))
+        while k < n and left[-1 - k][0] == right[k][0] and left[-1 - k][1] == -right[k][1]:
+            k += 1
+        return Word.trusted(left[:len(left) - k] + right[k:])
 
     def __pow__(self, n):
-        if n == 0:
-            return Word()
+        """``self`` to the integer ``n``: ``c * core^n * c^-1`` for ``self = c * core * c^-1``."""
+        if n == 0 or not self.letters:
+            return Word.trusted(())
         base = self if n > 0 else self.inverse()
-        return Word(base.letters * abs(n))
+        if base.is_cyclically_reduced():
+            return Word.trusted(base.letters * abs(n))
+        core, conj = cyclic_reduce(base)
+        return Word.trusted(conj.letters + core.letters * abs(n) + conj.inverse().letters)
 
     def inverse(self):
-        return Word(tuple((i, -s) for i, s in reversed(self.letters)), _reduced=True)
+        return Word.trusted(tuple((i, -s) for i, s in reversed(self.letters)))
 
     def prefix(self, k):
         """First ``k`` letters (freely reduced already)."""
-        return Word(self.letters[:k], _reduced=True)
+        return Word.trusted(self.letters[:k])
 
     def generators_used(self):
         return sorted({i for i, _ in self.letters})
@@ -82,7 +108,7 @@ class Word:
     def rotations(self):
         """All cyclic rotations as words (input should be cyclically reduced)."""
         ls = self.letters
-        return [Word(ls[k:] + ls[:k], _reduced=True) for k in range(max(1, len(ls)))]
+        return [Word.trusted(ls[k:] + ls[:k]) for k in range(max(1, len(ls)))]
 
     def render(self, names):
         """Human-readable form like ``a^2*b^-3``; the identity is ``1``."""
@@ -131,12 +157,11 @@ def free_reduce(raw: Iterable[tuple[int, int]], alphabet_size=None) -> Word:
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Return ``(core, conjugator)`` with conjugator*core*conjugator^-1 == w."""
-    letters = list(w.letters)
-    conj = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        conj.append(letters[0])
-        letters = letters[1:-1]
-    return Word(tuple(letters), _reduced=True), Word(tuple(conj), _reduced=True)
+    ls = w.letters
+    k, n = 0, len(ls)
+    while n - 2 * k >= 2 and ls[k][0] == ls[n - 1 - k][0] and ls[k][1] == -ls[n - 1 - k][1]:
+        k += 1
+    return Word.trusted(ls[k:n - k]), Word.trusted(ls[:k])
 
 
 def is_proper_power(w: Word) -> tuple[Word, int]:
@@ -156,7 +181,7 @@ def is_proper_power(w: Word) -> tuple[Word, int]:
         if n % p:
             continue
         if all(ls[i] == ls[i % p] for i in range(n)):
-            return Word(ls[:p], _reduced=True), n // p
+            return Word.trusted(ls[:p]), n // p
     raise AssertionError("unreachable: every string is a power of itself")
 
 
@@ -180,7 +205,7 @@ def proper_subwords(w: Word, cyclic=False) -> list[Word]:
                 sub = doubled[start:start + length]
                 if sub not in seen:
                     seen.add(sub)
-                    out.append(Word(sub, _reduced=True))
+                    out.append(Word.trusted(sub))
     else:
         for start in range(n):
             for end in range(start + 1, n + 1):
@@ -189,7 +214,7 @@ def proper_subwords(w: Word, cyclic=False) -> list[Word]:
                 sub = ls[start:end]
                 if sub not in seen:
                     seen.add(sub)
-                    out.append(Word(sub, _reduced=True))
+                    out.append(Word.trusted(sub))
     return out
 
 
@@ -232,11 +257,11 @@ def syllable_decompose(w: Word, partition: dict[int, str]) -> SyllableDecomposit
             current.append((i, s))
         else:
             if current:
-                syllables.append((current_tag, Word(tuple(current), _reduced=True)))
+                syllables.append((current_tag, Word.trusted(current)))
             current = [(i, s)]
             current_tag = tag
     if current:
-        syllables.append((current_tag, Word(tuple(current), _reduced=True)))
+        syllables.append((current_tag, Word.trusted(current)))
     return SyllableDecomposition(tuple(syllables))
 
 

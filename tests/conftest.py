@@ -25,7 +25,7 @@ def random_reduced_word(rng, alphabet_size, length):
         if letters and letters[-1] == (i, -s):
             continue
         letters.append((i, s))
-    return Word(tuple(letters), _reduced=True)
+    return Word(letters)
 
 
 def random_cyclically_reduced_word(rng, alphabet_size, length):

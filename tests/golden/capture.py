@@ -213,6 +213,7 @@ def _cases():
                  ["weinbaum", "--file", TREFOIL, "--quotient", LADDER[12]])
     out += _both("weinbaum_repeats",
                  ["weinbaum", "--file", f"{INPUTS}/weinbaum_repeats.grp"])
+    # 66 letters, past the 64 that weinbaum scans
     out += _both("weinbaum_long", ["weinbaum", "--file", f"{INPUTS}/weinbaum_long.grp"])
 
     out += _both("lift_theta", ["lift", "--graph", THETA, "--h-edges", "e1",

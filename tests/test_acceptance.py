@@ -45,7 +45,7 @@ def _random_reduced(rng, gens, length):
         if letters and letters[-1] == (cand[0], -cand[1]):
             continue
         letters.append(cand)
-    return Word(tuple(letters), _reduced=True)
+    return Word(letters)
 
 
 def _announce(name):
@@ -311,8 +311,8 @@ def test_unique_products():
                  for _ in range(rng.randrange(2, 5))}
             B = {_random_reduced(rng, 2, rng.randrange(4)).letters
                  for _ in range(rng.randrange(1, 4))}
-            A = {Word(ls, _reduced=True) for ls in A}
-            B = {Word(ls, _reduced=True) for ls in B}
+            A = {Word(ls) for ls in A}
+            B = {Word(ls) for ls in B}
             oracle = free
         if len(A) < 2:
             continue

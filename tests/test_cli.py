@@ -2,8 +2,10 @@ import gc
 import json
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathlib import Path
 
@@ -337,20 +339,57 @@ class TestRendering:
         assert json.loads(capsys.readouterr().out)["results"]["derivative"] == "1"
 
 
+# argv of --json runs whose report the collector must not find in cycles
+GARBAGE_RUNS = {
+    "fox": ["fox", "--file", "samples/trefoil.grp", "--word", "a*b", "--gen", "a"],
+    "hierarchy": ["hierarchy", "--file", "samples/bs12.grp"],
+    "complex": ["complex", "--file", "samples/trefoil.grp",
+                "--quotient", "a -> (1 2), b -> (1 2 3)"],
+    "weinbaum": ["weinbaum", "--file", "samples/cyclic6.grp"],
+}
+
+
 def test_a_run_leaves_little_cyclic_garbage(monkeypatch, capsys):
     # The parser is built once per process, so a run after the first adds no
-    # argparse objects.  What the collector still finds is the closures of
-    # json.dumps(indent=1)'s encoder: 33 objects.
+    # argparse objects, and the JSON writer builds no closures or generators:
+    # the collector finds nothing.
     monkeypatch.chdir(ROOT)
-    argv = ["fox", "--file", "samples/trefoil.grp", "--word", "a*b", "--gen", "a",
-            "--json"]
-    main(argv)
-    gc.collect()
-    gc.disable()
-    try:
-        main(argv)
-        found = gc.collect()
-    finally:
-        gc.enable()
+    found = {}
+    for command, argv in GARBAGE_RUNS.items():
+        main(argv + ["--json"])
+        gc.collect()
+        gc.disable()
+        try:
+            main(argv + ["--json"])
+            found[command] = gc.collect()
+        finally:
+            gc.enable()
     capsys.readouterr()
-    assert found < 100
+    assert found == dict.fromkeys(GARBAGE_RUNS, 0)
+
+
+# JSON text: control characters, quotes, backslashes and non-ASCII included
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028 aé€\U0001f600'),
+                              st.characters()), max_size=12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-10 ** 80, 10 ** 80) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(JSON_VALUES)
+def test_render_writes_the_bytes_of_json_dumps(value):
+    expected = json.dumps(value, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    assert render(value, "json") == expected
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1, 2}, b"x", 1j, object()])
+def test_render_refuses_other_types(value):
+    for payload in (value, {"a": [1, value]}, [{"b": value}]):
+        with pytest.raises(TypeError):
+            render(payload, "json")
+    with pytest.raises(TypeError):
+        render({1: "a"}, "json")

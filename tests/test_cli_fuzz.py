@@ -10,7 +10,8 @@ before it builds them.  The argv is then mutated as a whole: a flag is
 dropped, repeated or abbreviated, the flags are shuffled, or an unknown flag
 is inserted.  Whatever the input, a run ends with exit status 0, 1 or 2 and
 no traceback, and its ``--json`` report parses with ``schema``, ``command``
-and exactly one of ``results`` and ``error``.
+and exactly one of ``results`` and ``error``, in the bytes that ``json.dumps``
+gives it with sorted keys and an indent of one.
 """
 
 import contextlib
@@ -226,7 +227,11 @@ def assert_answer_or_refusal(argv):
     assert status in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
     if "--json" in argv and status != 2:
-        report = json.loads(out.getvalue() if status == 0 else err.getvalue())
+        text = out.getvalue() if status == 0 else err.getvalue()
+        report = json.loads(text)
+        # the renderer's oracle: the bytes of json.dumps
+        assert text == json.dumps(report, sort_keys=True, indent=1,
+                                  separators=(",", ": ")) + "\n", argv
         assert report["schema"] == 1 and report["command"] == argv[0], argv
         assert ("results" in report) != ("error" in report), argv
         assert ("results" in report) == (status == 0), argv

@@ -16,7 +16,7 @@ from onerel.groupring import GroupRingElement
 from onerel.oracles import (MAX_QUOTIENT_ORDER, ModOracle, PermOracle, ZPowOracle,
                             parse_permutation)
 from onerel.presentations import Presentation, parse_presentation
-from onerel.words import Word, free_reduce
+from onerel.words import Word, cyclic_reduce, free_reduce
 
 from conftest import mat_mul, random_raw_letters, random_reduced_word
 
@@ -602,3 +602,67 @@ class TestWeinbaumScan:
         scan = weinbaum_scan(p.relators[1], q)
         by_word = {s.subword.render(p.names): s.status for s in scan}
         assert by_word["a*b"] == "Unknown"
+
+    def test_relator_past_the_cap_is_refused(self):
+        p = Presentation(["a", "b"], [Word([(0, 1), (1, 1)] * 33)])
+        with pytest.raises(UnsupportedError, match="at most 64 letters"):
+            weinbaum_scan(p.relators[0], QuotientMap.trivial(p))
+        at_cap = Presentation(["a", "b"], [Word([(0, 1), (1, 1)] * 32)])
+        assert len(weinbaum_scan(at_cap.relators[0], QuotientMap.trivial(at_cap))) == 126
+
+    def test_repeats_and_identity_images(self):
+        p = parse_presentation("gens: a, b\nrels: a^2*b^3*a^-2*b^3\n"
+                               "quotient: a -> (1 2), b -> (1 2 3)")
+        q = QuotientMap.permutation(p)
+        scan = weinbaum_scan(p.relators[0], q)
+        assert _scan_rows(scan) == reference_weinbaum_scan(p.relators[0], q)
+        assert {s.status for s in scan} == {"Unknown", "NontrivialCertified"}
+        assert len(scan) < 10 * 9     # deduplicated
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_one_walk_per_start_matches_one_walk_per_subword(self, data):
+        rank = data.draw(st.integers(1, 3))
+        degree = data.draw(st.integers(1, 4))
+        images = {i: tuple(data.draw(st.permutations(range(degree)))) for i in range(rank)}
+        letters = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+        w, _ = cyclic_reduce(Word(data.draw(st.lists(letters, min_size=1, max_size=8))))
+        free = QuotientMap.permutation(Presentation(["a", "b", "c"][:rank], []), images)
+        image, power = free.apply(w), 1
+        while image != free.oracle.identity():
+            image, power = free.oracle.multiply(image, free.apply(w)), power + 1
+        # a power repeats its subwords; small degrees map many of them to 1
+        p = Presentation(["a", "b", "c"][:rank], [w ** power])
+        q = QuotientMap.permutation(p, images)
+        assert _scan_rows(weinbaum_scan(p.relators[0], q)) == \
+            reference_weinbaum_scan(p.relators[0], q)
+
+
+def _scan_rows(scan):
+    return [(s.subword.letters, s.status, s.image) for s in scan]
+
+
+def reference_weinbaum_scan(w, q):
+    """The scan as it was: ``proper_subwords``'s cyclic enumeration, then one
+    walk over each subword's letters, inverting the image of each inverse
+    letter on the way."""
+    ls = w.letters
+    n = len(ls)
+    doubled = ls + ls
+    seen, subwords = set(), []
+    for start in range(n):
+        for length in range(1, n):
+            sub = doubled[start:start + length]
+            if sub not in seen:
+                seen.add(sub)
+                subwords.append(sub)
+    oracle = q.oracle
+    rows = []
+    for sub in subwords:
+        image = oracle.identity()
+        for i, s in sub:
+            image = oracle.multiply(image, q.images[i] if s > 0
+                                    else oracle.invert(q.images[i]))
+        status = "Unknown" if image == oracle.identity() else "NontrivialCertified"
+        rows.append((sub, status, oracle.render(image)))
+    return rows

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from onerel.domains import QQ, ZZ, parse_domain
-from onerel.errors import InputError
+from onerel.errors import InputError, InternalCheckError
 from onerel.foxcalc import (QuotientMap, fox_derivative,
                             fundamental_identity_check, jacobian,
                             resolution_complex)
@@ -231,3 +231,36 @@ class TestResolutionComplex:
             except InputError:
                 continue
             resolution_complex(p, phi, QQ)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=quotient_maps(), domain=st.sampled_from([ZZ, QQ, parse_domain("2"),
+                                                     parse_domain("3")]),
+       data=st.data())
+def test_a_corrupted_jacobian_term_fails_the_composite_check(case, domain, data):
+    # adding c*g to entry (i, j) adds c*(g*phi(s_j) - g) to row i of d1 o d2,
+    # which is nonzero unless phi(s_j) is the identity
+    p, q = case
+    assume(p.relators)
+    movers = [j for j in range(p.rank) if q.images[j] != q.oracle.identity()]
+    assume(movers)
+    comp = resolution_complex(p, q, domain)
+    comp._verify()
+    i = data.draw(st.integers(0, len(p.relators) - 1))
+    j = data.draw(st.sampled_from(movers))
+    entry = comp.d2.entries[i][j]
+    g = data.draw(st.sampled_from([q.oracle.identity(), *entry.terms]))
+    comp.d2.entries[i][j] = entry + GroupRingElement.of(q.oracle, domain, g)
+    with pytest.raises(InternalCheckError, match=f"nonzero on relator row {i}"):
+        comp._verify()
+
+
+def test_the_composite_check_names_the_nonzero_row():
+    p = parse_presentation("gens: a, b\nrels: a^2*b^-3")
+    comp = resolution_complex(p, QuotientMap.to_abelian(p, {0: 3, 1: 2}))
+    comp.d2.entries[0][1] = comp.d2.entries[0][1] + GroupRingElement.of(
+        comp.d2.oracle, ZZ, (2,))
+    with pytest.raises(InternalCheckError) as exc:
+        comp._verify()
+    # the row gained t^2 * (t^2 - 1)
+    assert str(exc.value) == "d1 o d2 is nonzero on relator row 0: -t^2 + t^4"

@@ -132,8 +132,8 @@ class TestUniqueProducts:
                  for _ in range(3)}
             B = {random_reduced_word(rng, 2, rng.randrange(4)).letters
                  for _ in range(2)}
-            A = [Word(ls, _reduced=True) for ls in A]
-            B = [Word(ls, _reduced=True) for ls in B]
+            A = [Word(ls) for ls in A]
+            B = [Word(ls) for ls in B]
             if len(A) < 2:
                 continue
             assert unique_products_check(oracle, A, B, 2, side="left").verdict

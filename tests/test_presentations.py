@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from onerel.errors import InputError
 from onerel.presentations import (MAX_NESTING, MAX_WORD_LETTERS, Presentation,
-                                  parse_presentation, parse_quotient, parse_word)
+                                  parse_presentation, parse_quotient, parse_word,
+                                  parse_words)
 from onerel.words import Word
 
 
@@ -186,6 +187,29 @@ class TestCaps:
     def test_powers_of_the_empty_word_are_empty(self):
         assert parse_word("(a*a^-1)^99999999999999999999", self.NAMES) == Word()
         assert parse_word("[a, a]^-99999999999999999999", self.NAMES) == Word()
+
+    @pytest.mark.parametrize("text", ["a^" + "9" * 5000, "a^-" + "9" * 5000,
+                                      "(a*b)^" + "1" * 7, "b^" + "0" * 4999 + "100001"])
+    def test_exponents_past_the_budget_are_refused_unread(self, text):
+        # 5,000 digits are past what int() reads; the message stays short
+        with pytest.raises(InputError, match=f"more than {MAX_WORD_LETTERS} letters") as exc:
+            parse_word(text, self.NAMES)
+        assert len(str(exc.value)) < 100
+
+    def test_long_exponents_within_the_budget(self):
+        assert parse_word("a^" + "0" * 5000, self.NAMES) == Word()
+        assert parse_word("a^-" + "0" * 4999 + "7", self.NAMES) == Word([(0, -1)] * 7)
+        for exponent in ("9" * 5000, "-" + "9" * 5000, "0" * 5000):
+            assert parse_word(f"(a*a^-1)^{exponent}", self.NAMES) == Word()
+            assert parse_word(f"1^{exponent}", self.NAMES) == Word()
+
+    def test_the_words_of_one_call_share_one_budget(self):
+        half = f"a^{MAX_WORD_LETTERS // 2}"
+        assert [len(w) for w in parse_words([half, half], self.NAMES)] == \
+            [MAX_WORD_LETTERS // 2] * 2
+        with pytest.raises(InputError, match=f"more than {MAX_WORD_LETTERS} letters"):
+            parse_words([half, half, "a*b"], self.NAMES)
+        assert parse_words([], self.NAMES) == []
 
     def test_a_file_shares_one_budget(self):
         at_budget = f"a^{MAX_WORD_LETTERS}"

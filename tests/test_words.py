@@ -48,6 +48,45 @@ class TestFreeReduce:
         assert free_reduce(list(r1) + list(r2)) == free_reduce(r1) * free_reduce(r2)
 
 
+class TestValidation:
+    """Letters from outside the library are checked where they enter."""
+
+    @pytest.mark.parametrize("letter", [(-1, 1), (-3, -1)])
+    def test_negative_index_refused(self, letter):
+        with pytest.raises(InputError, match="negative generator index"):
+            Word([(A, 1), letter])
+        with pytest.raises(InputError, match="negative generator index"):
+            free_reduce([letter, (A, 1)])
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_other_than_one_refused(self, sign):
+        with pytest.raises(InputError, match="letter sign must be"):
+            Word([(A, 1), (B, sign)])
+        with pytest.raises(InputError, match="letter sign must be"):
+            free_reduce([(B, sign)])
+
+    def test_letter_that_would_cancel_is_still_checked(self):
+        with pytest.raises(InputError):
+            Word([(A, 1), (A, -1), (-1, 1), (-1, -1)])
+
+
+class TestArithmetic:
+    """Products, powers and inverses built by ``Word.trusted`` against reducing the letters."""
+
+    letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=12)
+
+    @given(letters, letters, st.integers(-4, 4))
+    @settings(max_examples=300, derandomize=True)
+    def test_against_free_reduction(self, r1, r2, n):
+        u, v = free_reduce(r1), free_reduce(r2)
+        assert (u * v).letters == Word(u.letters + v.letters).letters
+        base = u.letters if n >= 0 else [(i, -s) for i, s in reversed(u.letters)]
+        assert (u ** n).letters == Word(list(base) * abs(n)).letters
+        assert (u * u.inverse()).letters == ()
+        core, conj = cyclic_reduce(u)
+        assert (conj * core * conj.inverse()).letters == u.letters
+
+
 class TestCyclicReduce:
     def test_single_layer(self):
         core, conj = cyclic_reduce(w((B, 1), (A, 1), (B, -1)))
