@@ -225,11 +225,11 @@ def weinbaum_scan(w: Word, q: QuotientMap) -> list:
 
     A non-identity image proves the subword avoids the relators' normal
     closure; an identity image is inconclusive and reported as Unknown.  The
-    subwords are those of :func:`~onerel.words.proper_subwords` in cyclic
-    mode, in its order: by start position, then by length, each distinct
-    subword once.  One walk from each start position gives the images of all
-    its lengths.  A relator of more than ``MAX_WEINBAUM_LETTERS`` letters is
-    refused with :class:`~onerel.errors.UnsupportedError`.
+    subwords are those of the relator read cyclically: from each start
+    position, those of lengths 1 to ``len(w) - 1``, each distinct subword
+    once, in that order.  One walk from each start position gives the images
+    of all its lengths.  A relator of more than ``MAX_WEINBAUM_LETTERS``
+    letters is refused with :class:`~onerel.errors.UnsupportedError`.
     """
     ls = w.letters
     n = len(ls)

@@ -16,9 +16,11 @@ cyclically reduced, with the stripped conjugator kept alongside.
 
 Parsing has two caps, so that a short text cannot exhaust the stack or the
 memory: brackets nest at most ``MAX_NESTING`` deep, and the powers,
-commutators and products of one word expression, or of all the relators of
-one file, build at most ``MAX_WORD_LETTERS`` letters in all, counted before
-free reduction.  A text past either cap is refused with an ``InputError``.
+commutators and products of one word expression, of the words of one
+:func:`parse_words` call, or of all the relators of one file, build at most
+``MAX_WORD_LETTERS`` letters in all, counted before free reduction.  A text
+past either cap is refused with an ``InputError``; an exponent with more
+digits than the budget has letters is refused before its digits are read.
 """
 
 from __future__ import annotations
@@ -135,12 +137,12 @@ def _parse_factor(toks, atoms, budget, depth):
             raise InputError(f"expected an integer exponent, got {exp_tok!r}")
         if not atom:
             continue    # the empty word's powers are empty, at any exponent
-        digits = exp_tok.lstrip("-").lstrip("0") or "0"
+        digits = exp_tok.lstrip("-0") or "0"
         if len(digits) > len(str(budget[0])):
             # the power needs more letters than the budget has left, so its
             # digits, perhaps more than int() reads, are never read
             _spend(budget, budget[0] + 1)
-        exp = -int(digits) if exp_tok.startswith("-") else int(digits)
+        exp = -int(digits) if exp_tok[0] == "-" else int(digits)
         _spend(budget, len(atom) * abs(exp))
         atom = atom ** exp
     return atom

@@ -185,36 +185,18 @@ def is_proper_power(w: Word) -> tuple[Word, int]:
     raise AssertionError("unreachable: every string is a power of itself")
 
 
-def proper_subwords(w: Word, cyclic=False) -> list[Word]:
-    """All proper non-empty contiguous subwords, deduplicated.
-
-    In cyclic mode the subwords of every rotation are enumerated (lengths
-    ``1 .. len(w)-1``), so the pre-deduplication multiset has ``n*(n-1)``
-    entries for a length-``n`` word.
-    """
+def proper_subwords(w: Word) -> list[Word]:
+    """All proper non-empty contiguous subwords, deduplicated, by start and then end."""
     ls = w.letters
     n = len(ls)
     seen = set()
     out = []
-    if cyclic:
-        if n and not w.is_cyclically_reduced():
-            raise InputError("cyclic subword enumeration requires a cyclically reduced word")
-        doubled = ls + ls
-        for start in range(n):
-            for length in range(1, n):
-                sub = doubled[start:start + length]
-                if sub not in seen:
-                    seen.add(sub)
-                    out.append(Word.trusted(sub))
-    else:
-        for start in range(n):
-            for end in range(start + 1, n + 1):
-                if end - start == n:
-                    continue
-                sub = ls[start:end]
-                if sub not in seen:
-                    seen.add(sub)
-                    out.append(Word.trusted(sub))
+    for start in range(n):
+        for end in range(start + 1, n + 1):
+            sub = ls[start:end]
+            if end - start < n and sub not in seen:
+                seen.add(sub)
+                out.append(Word.trusted(sub))
     return out
 
 

@@ -603,6 +603,28 @@ class TestWeinbaumScan:
         by_word = {s.subword.render(p.names): s.status for s in scan}
         assert by_word["a*b"] == "Unknown"
 
+    def test_cyclic_enumeration(self):
+        p = Presentation(["a", "b"], [Word([(0, 1), (0, 1), (1, -1)])])
+        subs = [s.subword.letters for s in weinbaum_scan(p.relators[0], QuotientMap.trivial(p))]
+        # brute force: all contiguous runs of all rotations, lengths 1..2
+        doubled = p.relators[0].letters * 2
+        expect = {doubled[s:s + k] for s in range(3) for k in (1, 2)}
+        assert set(subs) == expect
+        assert len(subs) == 5  # six pre-dedup, one duplicate single 'a'
+
+    def test_cyclic_count_multiset(self, rng):
+        for _ in range(50):
+            word = random_reduced_word(rng, 3, rng.randrange(2, 9))
+            if not word.is_cyclically_reduced():
+                continue
+            n = len(word)
+            doubled = word.letters * 2
+            multiset = [doubled[s:s + k] for s in range(n) for k in range(1, n)]
+            assert len(multiset) == n * (n - 1)
+            p = Presentation(["a", "b", "c"], [word])
+            scan = weinbaum_scan(word, QuotientMap.trivial(p))
+            assert [s.subword.letters for s in scan] == list(dict.fromkeys(multiset))
+
     def test_relator_past_the_cap_is_refused(self):
         p = Presentation(["a", "b"], [Word([(0, 1), (1, 1)] * 33)])
         with pytest.raises(UnsupportedError, match="at most 64 letters"):
@@ -643,8 +665,8 @@ def _scan_rows(scan):
 
 
 def reference_weinbaum_scan(w, q):
-    """The scan as it was: ``proper_subwords``'s cyclic enumeration, then one
-    walk over each subword's letters, inverting the image of each inverse
+    """The scan as it was: the cyclic enumeration of ``proper_subwords``, then
+    one walk over each subword's letters, inverting the image of each inverse
     letter on the way."""
     ls = w.letters
     n = len(ls)

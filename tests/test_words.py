@@ -167,28 +167,6 @@ class TestProperSubwords:
             seen = {word.letters[i:j] for i, j in ranges}
             assert {s.letters for s in proper_subwords(word)} == seen
 
-    def test_cyclic_enumeration(self):
-        word = w((A, 1), (A, 1), (B, -1))
-        subs = proper_subwords(word, cyclic=True)
-        # brute force: all contiguous runs of all rotations, lengths 1..2
-        doubled = word.letters * 2
-        expect = {doubled[s:s + k] for s in range(3) for k in (1, 2)}
-        assert {s.letters for s in subs} == expect
-        assert len(expect) == 5  # six pre-dedup, one duplicate single 'a'
-
-    def test_cyclic_count_multiset(self, rng):
-        for _ in range(50):
-            word = random_reduced_word(rng, 3, rng.randrange(2, 9))
-            if not word.is_cyclically_reduced():
-                continue
-            n = len(word)
-            doubled = word.letters * 2
-            multiset = [doubled[s:s + k] for s in range(n) for k in range(1, n)]
-            assert len(multiset) == n * (n - 1)
-            assert {s.letters for s in proper_subwords(word, cyclic=True)} \
-                == set(multiset)
-
-
 class TestExponentSum:
     def test_examples(self):
         word = w((T, 1), (A, 1), (T, -1), (A, -1), (A, -1))
