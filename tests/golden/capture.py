@@ -282,6 +282,10 @@ def _cases():
                       ("empty_power_digits", "(a*a^-1)^" + "9" * 5000)):
         out += _both(f"fox_word_{tag}",
                      ["fox", "--file", TREFOIL, "--gen", "a", "--word", word])
+    # fox differentiates words of at most MAX_FOX_LETTERS = 1000 letters
+    for tag, word in (("at_fox_cap", "b^999*a"), ("past_fox_cap", "b^1000*a")):
+        out += _both(f"fox_word_{tag}",
+                     ["fox", "--file", TREFOIL, "--gen", "a", "--word", word])
     # the words of one flag together: two terms of 60,000 letters each
     out += _both("engulf_terms_over_budget",
                  ["engulf", "--file", TREFOIL, "--quotient", LADDER[6],
