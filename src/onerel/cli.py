@@ -101,7 +101,7 @@ def _cmd_complex(args):
     domain = parse_domain(args.ring)
     c = build_cover_complex(pres, q, domain)
     h = homology(c)
-    degree, order = q.oracle.degree, len(c.skeleton.vertices)
+    degree, order = q.oracle.degree, c.order
     payload = {
         "degree": degree,
         "group_order": order,

@@ -4,14 +4,19 @@ Pushing a presentation's derivative matrix through the regular representation
 of a finite quotient, a :class:`~onerel.foxcalc.QuotientMap` whose oracle
 enumerates its elements, gives the integer boundary maps of the corresponding
 cover of the presentation complex.  Chains are row vectors acted on from the
-right, so the composite ``D2 @ D1`` must vanish.  ``D2`` is kept as sparse
-rows, a handful of +-1 entries each, walked off the quotient's Cayley table;
-``D1`` is the incidence of the 1-skeleton, the Cayley graph of the quotient.
-A 1-cycle is fixed by its coefficients on the edges outside a spanning
-forest, here the BFS tree the quotient's enumeration recorded, so homology
-and lattice generation questions are settled in spanning-forest
-coordinates: ranks and Smith invariants of ``D2`` restricted to the
-non-forest edges, from the sparse elimination kernel in
+right, so the composite ``D2 @ D1`` must vanish.  ``D2`` is walked off the
+quotient's Cayley table, one walk per relator, and kept as the walk's merged
+Fox terms, each an array of element indices: row ``k`` of a relator reads
+entry ``k`` of every array.  ``D1`` is the incidence of the 1-skeleton, the
+Cayley graph of the quotient.  The composite is verified once per relator,
+exactly, as a formal sum over the arrays, which Fox's fundamental formula
+makes telescope along the walk (see :func:`build_cover_complex`); the full
+rows, the skeleton and a dense ``D2`` are built only when read.  A 1-cycle
+is fixed by its coefficients on the edges outside a spanning forest, here
+the BFS tree the quotient's enumeration recorded, so homology and lattice
+generation questions are settled in spanning-forest coordinates, read
+straight off the arrays: ranks and Smith invariants of ``D2`` restricted to
+the non-forest edges, from the sparse elimination kernel in
 :mod:`onerel.intlinalg`.  Homology eliminates each distinct restricted row
 once: a proper-power relator repeats its rows along the cyclic subgroup of
 its root, and a repeat adds nothing to the row span.
@@ -20,6 +25,8 @@ its root, and a repeat adds nothing to the row span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, repeat
 
 from .domains import Domain, ZZ
 from .errors import InputError, UnsupportedError
@@ -35,29 +42,58 @@ from .words import Word
 # 64 letters give at most 4,032; the workloads reach 24 and the tests 12.
 MAX_WEINBAUM_LETTERS = 64
 
+COMPOSITE_REFUSAL = "cover boundary matrices do not compose to zero"
+
 
 @dataclass
 class CoverComplex:
-    """The cover's boundary maps: ``d2`` as sparse rows, ``d1`` as the skeleton.
+    """The cover's boundary maps, held as the relator walks made them.
 
-    Row ``i * |Q| + k`` of ``d2`` is the 2-cell of relator ``i`` at element
-    ``k``, a dict ``{column: coefficient}``; column ``s * |Q| + k`` is the edge
-    of generator ``s`` at element ``k``, which is edge ``s * |Q| + k`` of the
-    skeleton.  ``d1`` is the skeleton's incidence matrix.  ``forest`` lists
-    the skeleton edges of a spanning forest, the enumeration's BFS tree.
+    ``cells[i]`` is relator ``i``'s 2-cell: its merged Fox terms ``(j, at,
+    c)``, generator ``j``, the prefix images ``at[k] = idx(elements[k] *
+    prefix)`` and coefficient ``c``.  ``columns[s]`` is generator ``s``'s
+    Cayley-table column, ``[idx(elements[k] * phi(s)) for k]``.  For a
+    relator that is a proper power ``u^m`` of its letters, ``shifts[i]`` is
+    a permutation of its rows with row ``shifts[i][k]`` equal to row ``k``;
+    otherwise it is None.  ``forest`` lists the skeleton edges of a spanning
+    forest, the enumeration's BFS tree.  The views below are built only when
+    read.
     """
 
     presentation: Presentation
     quotient: QuotientMap
     domain: Domain
-    rows: list                # the rows of d2
-    skeleton: Graph           # the 1-skeleton; its edges are the rows of d1
+    order: int                # |Q|, the number of vertices
+    columns: list             # generator s -> its Cayley-table column
+    cells: list               # relator i -> its terms (j, at, c)
+    shifts: list              # relator i -> a permutation of its rows, or None
     forest: list              # skeleton edges of a spanning forest
+
+    @cached_property
+    def rows(self):
+        """The rows of ``d2``, sparse.
+
+        Row ``i * |Q| + k`` is the 2-cell of relator ``i`` at element ``k``,
+        ``{j * |Q| + at[k]: c for (j, at, c) in cells[i]}``; column ``s * |Q| +
+        k`` is the edge of generator ``s`` at element ``k``.
+        """
+        n = self.order
+        return [{j * n + at[k]: c for j, at, c in terms}
+                for terms in self.cells for k in range(n)]
+
+    @cached_property
+    def skeleton(self):
+        """The 1-skeleton: edge ``s * |Q| + k`` runs from ``k`` to ``columns[s][k]``.
+
+        Its incidence matrix is ``d1``.
+        """
+        return Graph(range(self.order), [(k, head) for column in self.columns
+                                         for k, head in enumerate(column)])
 
     @property
     def d2(self):
         """Dense read-only copy of ``d2``, for readers outside the library."""
-        width = self.skeleton.n_edges()
+        width = len(self.columns) * self.order
         return [[row.get(j, 0) for j in range(width)] for row in self.rows]
 
     def _d1_rows(self):
@@ -66,8 +102,9 @@ class CoverComplex:
     @property
     def shape(self):
         """(2-cells, edges, vertices), with no vertex columns when there is no edge."""
-        edges = self.skeleton.n_edges()
-        return len(self.rows), edges, len(self.skeleton.vertices) if edges else 0
+        n = self.order
+        edges = len(self.columns) * n
+        return len(self.cells) * n, edges, n if edges else 0
 
     def to_triplet_text(self):
         """Sparse triplet serialisation: header then ``row col value`` lines."""
@@ -89,13 +126,41 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
     the right-regular image of the derivative row ``J[i]``.  A walk along relator
     ``i`` over the Cayley table keeps ``cur[k] = idx(elements[k] * prefix)``,
     moved by a column per letter (its inverse for an inverse letter); Fox terms
-    of one generator at one image ``cur[0]`` merge.  The edge ``(s, g)`` runs
-    from vertex ``g`` to vertex ``g * phi(s)``.  Every row's boundary is summed
-    in plain ints and verified to vanish.  A quotient whose oracle cannot
-    enumerate its elements, such as Z^k or a group above the order cap, is
-    refused with :class:`~onerel.errors.UnsupportedError`.  The forest is the
-    oracle's BFS tree: element ``k``, first reached as ``elements[parent] * h``,
-    hangs on the edge ``(s, parent)`` of the least ``s`` with image ``h``.  A
+    of one generator at one image ``cur[0]`` merge, and the merged terms
+    ``(j, at, c)`` are the relator's 2-cell.  The edge ``(s, g)`` runs from
+    vertex ``g`` to vertex ``g * phi(s)``.
+
+    The composite ``d2 @ d1`` is verified once per relator, exactly, as a
+    formal sum over arrays, ``sum c * ([columns[j] o at] - [at]) = 0``, with
+    no two terms of one generator at one edge (``at[k]`` differs for every
+    ``k``).  Row ``k``'s boundary is the image of the formal sum under
+    ``[arr] -> vertex arr[k]``, so it vanishes, and with no collision row
+    ``k`` holds every term.  The sum is Fox's fundamental formula
+    ``sum_s (dr/ds)(s - 1) = r - 1`` (Ann. of Math. 57, 1953) on the table,
+    and it telescopes: a letter's term spans one step of the walk,
+    ``[cur after] - [cur before]``, for an inverse letter once its column
+    composed with the inverse is the identity, so the sum is ``[walk end] -
+    [identity]``.  Merging leaves it alone when it joins only equal arrays.
+    So the check is that each inverted column inverts, each merge joins equal
+    arrays, and the walk ends at the identity; a table that fails any part is
+    refused with :class:`~onerel.errors.InputError`.  On a genuine table all
+    hold: the relator is killed, and in a free action ``at[0]`` fixes the
+    prefix's image and with it all of ``at``, so two distinct arrays differ
+    at every ``k``.
+
+    For a relator ``u^m`` the walk's array after ``u`` is its shift.  The
+    array after letter ``t + |u|`` is the array after ``t`` composed with the
+    shift, since the same maps are applied in the same order, and past the
+    end it wraps, since the walk ends at the identity.  So when the shift is
+    a permutation, ``at -> at o shift`` permutes the terms, coefficients
+    included, and row ``shift[k]`` equals row ``k``: in a group, ``g`` and
+    ``g * u`` carry the same row.
+
+    A quotient whose oracle cannot enumerate its elements, such as Z^k or a
+    group above the order cap, is refused with
+    :class:`~onerel.errors.UnsupportedError`.  The forest is the oracle's BFS
+    tree: element ``k``, first reached as ``elements[parent] * h``, hangs on
+    the edge ``(s, parent)`` of the least ``s`` with image ``h``.  A
     one-element quotient has an empty forest.
     """
     n = len(q.oracle.elements())
@@ -103,29 +168,51 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
     forest = [first[h] * n + parent
               for h, parent in (q.oracle.cayley_tree()[1:] if n > 1 else ())]
     columns = [q.oracle.cayley_column(q.images[s]) for s in range(p.rank)]
-    inverses = [sorted(range(n), key=column.__getitem__) for column in columns]
-    rows = []
+    identity = tuple(range(n))
+    inverses = {j: sorted(identity, key=columns[j].__getitem__)
+                for w in p.relators for j, sign in w.letters if sign < 0}
+    if any(tuple(map(columns[j].__getitem__, inverse)) != identity
+           for j, inverse in inverses.items()):
+        raise InputError(COMPOSITE_REFUSAL)
+    cells, shifts = [], []
     for w in p.relators:
-        cur = list(range(n))
+        root = _root_length(w.letters)
+        cur = shift = identity
         sums = [{} for _ in range(p.rank)]   # per generator: {cur[0]: [cur, coefficient]}
-        for j, sign in w.letters:
-            nxt = list(map((columns if sign > 0 else inverses)[j].__getitem__, cur))
+        for i, (j, sign) in enumerate(w.letters):
+            if i == root:
+                shift = cur
+            nxt = tuple(map((columns if sign > 0 else inverses)[j].__getitem__, cur))
             at = cur if sign > 0 else nxt      # the prefix without or with the letter
-            sums[j].setdefault(at[0], [at, 0])[1] += sign
+            merged = sums[j].get(at[0])
+            if merged is None:
+                sums[j][at[0]] = [at, sign]
+            elif merged[0] == at:
+                merged[1] += sign
+            else:
+                raise InputError(COMPOSITE_REFUSAL)
             cur = nxt
-        terms = [(j * n, at, c) for j, m in enumerate(sums) for at, c in m.values() if c]
-        rows += [{base + at[k]: c for base, at, c in terms} for k in range(n)]
-    edges = [(k, head) for column in columns for k, head in enumerate(column)]
-    for row in rows:
-        boundary = {}
-        for e, c in row.items():
-            tail, head = edges[e]
-            boundary[head] = boundary.get(head, 0) + c
-            boundary[tail] = boundary.get(tail, 0) - c
-        if any(boundary.values()):
-            raise InputError("cover boundary matrices do not compose to zero")
-    return CoverComplex(presentation=p, quotient=q, domain=domain, rows=rows,
-                        skeleton=Graph(range(n), edges), forest=forest)
+        if cur != identity:
+            raise InputError(COMPOSITE_REFUSAL)
+        terms = []
+        for j, merged in enumerate(sums):
+            kept = [(j, at, c) for at, c in merged.values() if c]
+            # the edges of generator j in row k: one per term unless two collide
+            if len(kept) > 1 and min(map(len, map(set, zip(*(at for _, at, _ in kept))))) \
+                    < len(kept):
+                raise InputError(COMPOSITE_REFUSAL)
+            terms += kept
+        cells.append(terms)
+        shifts.append(shift if root < len(w) and len(set(shift)) == n else None)
+    return CoverComplex(presentation=p, quotient=q, domain=domain, order=n, columns=columns,
+                        cells=cells, shifts=shifts, forest=forest)
+
+
+def _root_length(letters):
+    """The least d with ``letters`` the (len / d)-th power of its first d letters."""
+    size = len(letters)
+    return next((d for d in range(1, size) if not size % d
+                 and letters == letters[:d] * (size // d)), size)
 
 
 @dataclass
@@ -150,24 +237,68 @@ class HomologyReport:
                 f"H1 = {self.h_summary(self.h1_free_rank, self.h1_torsion)}")
 
 
-def _cycle_coordinates(c: CoverComplex):
-    """Rows of ``d2`` on the non-forest edges of the 1-skeleton, and their count.
+def _coordinate_rows(c: CoverComplex):
+    """The rows of ``d2`` on the non-forest edges, and the number of those edges.
 
     Restriction to the non-forest edges maps the cycle lattice ``ker d1``
     isomorphically onto their coordinate lattice: the fundamental cycles are
     a basis, each 1 on its own such edge and 0 on the others, and a cycle
     vanishing there lies on a forest, so it is 0.  Every row of ``d2`` is a
     cycle because its boundary was verified to vanish.  The forest is
-    ``c.forest``, the BFS tree the quotient's enumeration recorded.  Row
-    ``r`` of the result is row ``r`` of ``d2``.
+    ``c.forest``, the BFS tree the quotient's enumeration recorded.
+
+    The rows are read straight off the cells: ``cell_rows(terms, shift)``
+    gives a cell's rows in order, each as the frozenset of its
+    ``(coordinate, coefficient)`` pairs, and with a shift only the first row
+    of each of its cycles.  A term maps its array through a table of its
+    generator's edges paired with its coefficient, the coordinate ``None`` on
+    a forest edge, and the pairs at ``None`` are dropped.  A row holds each
+    term once, at distinct edges.
     """
-    position = [None] * c.skeleton.n_edges()
-    non_forest = sorted(set(range(len(position))).difference(c.forest))
-    for k, e in enumerate(non_forest):
-        position[e] = k
-    coords = [{position[e]: v for e, v in row.items() if position[e] is not None}
-              for row in c.rows]
-    return coords, len(non_forest)
+    n = c.order
+    non_forest = sorted(set(range(len(c.columns) * n)).difference(c.forest))
+    position = dict(zip(non_forest, range(len(non_forest))))      # edge -> coordinate
+    tables = {}      # (generator, coefficient) -> edge k -> (its coordinate, coefficient)
+
+    def cell_rows(terms, shift=None):
+        if not terms:
+            return repeat(frozenset(), n)
+        placed = []
+        for j, at, v in terms:
+            if (j, v) not in tables:
+                edges = range(j * n, (j + 1) * n)
+                tables[j, v] = list(zip(map(position.get, edges), repeat(v)))
+            placed.append(map(tables[j, v].__getitem__, at))
+        forest = frozenset((None, v) for _, _, v in terms)
+        rows = zip(*placed)
+        if shift is not None:
+            rows = compress(rows, _orbit_firsts(shift))
+        return map(frozenset.difference, map(frozenset, rows), repeat(forest))
+
+    return cell_rows, len(non_forest)
+
+
+def _orbit_firsts(perm):
+    """A mask, 1 at the least index of each cycle of the permutation ``perm``."""
+    first, seen = bytearray(len(perm)), bytearray(len(perm))
+    for k in range(len(perm)):
+        if not seen[k]:
+            first[k] = 1
+            x = k
+            while not seen[x]:
+                seen[x] = 1
+                x = perm[x]
+    return first
+
+
+def _cycle_coordinates(c: CoverComplex):
+    """Every row of ``d2`` in spanning-forest coordinates, in row order, and their count.
+
+    Row ``r`` of the result is row ``r`` of ``d2`` restricted to the
+    non-forest edges, as a ``{coordinate: coefficient}`` dict.
+    """
+    cell_rows, n_cycles = _coordinate_rows(c)
+    return [dict(row) for terms in c.cells for row in cell_rows(terms)], n_cycles
 
 
 def homology(c: CoverComplex) -> HomologyReport:
@@ -179,21 +310,24 @@ def homology(c: CoverComplex) -> HomologyReport:
     its resolution over Z[Z] is exact.  It is computed in spanning-forest
     coordinates: H0 is free on the components of the 1-skeleton, and H1 is
     the coordinate lattice of the non-forest edges modulo the restricted rows
-    of ``d2``.  A coordinate row equal to one already kept is dropped: it adds
-    nothing to the row span, so ranks and Smith invariants stay the same.  A
-    proper-power relator ``u^m`` repeats its row at ``g`` at ``g * u``
-    (Lyndon's cyclic relation module), so each such orbit enters the
-    elimination once.  Over Z this is Smith-form exact; over a field the
-    torsion lists are empty and the free ranks are dimensions.
+    of ``d2``.  A coordinate row equal to one already kept is dropped before
+    it is built as a dict: it adds nothing to the row span, so ranks and
+    Smith invariants stay the same.  A proper-power relator ``u^m`` repeats
+    its row at ``g`` at ``g * u`` (Lyndon's cyclic relation module), so of
+    each such orbit only the first row is read off the cell, and it enters
+    the elimination once.  Over Z the rows are handed to
+    the elimination, which works on them in place, with no copy, and this is
+    Smith-form exact; over a field the torsion lists are empty and the free
+    ranks are dimensions.
     """
-    coords, n_cycles = _cycle_coordinates(c)
-    coords = list({frozenset(row.items()): row for row in coords}.values())
+    cell_rows, n_cycles = _coordinate_rows(c)
+    rows = chain.from_iterable(map(cell_rows, c.cells, c.shifts))
+    coords = list(map(dict, dict.fromkeys(rows)))
     if c.domain.is_field:
         h1_free, h1_torsion = n_cycles - field_rank(coords, c.domain), []
     else:
         h1_free, h1_torsion = quotient_invariants(n_cycles, coords)
-    return HomologyReport(domain=c.domain,
-                          h0_free_rank=len(c.skeleton.vertices) - len(c.forest),
+    return HomologyReport(domain=c.domain, h0_free_rank=c.order - len(c.forest),
                           h0_torsion=[], h1_free_rank=h1_free, h1_torsion=h1_torsion)
 
 
@@ -207,7 +341,7 @@ def generation_check(c: CoverComplex, rows) -> bool:
     """
     rows = sorted(set(int(r) for r in rows))
     for r in rows:
-        if not 0 <= r < len(c.rows):
+        if not 0 <= r < c.shape[0]:
             raise InputError(f"row index {r} out of range")
     coords, n_cycles = _cycle_coordinates(c)
     return spans_saturated([coords[r] for r in rows], n_cycles, c.domain)

@@ -14,11 +14,18 @@ import functools
 import itertools
 
 from .domains import Domain, ZZ
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, UnsupportedError
 from .groupring import GroupRingElement, GroupRingMatrix
 from .oracles import FreeOracle, PermOracle, TRIVIAL_ORACLE, ZPowOracle
 from .presentations import Presentation
 from .words import Word
+
+
+# The longest word that fox_derivative differentiates.  A word of n letters
+# has up to n terms, prefixes of up to n letters, so the answer is quadratic:
+# ``fox --word a^1000`` takes about 0.1 s and 20 MB, a^4000 2.3 s.  The tests
+# reach 40 letters and the benchmark's fox jobs 30.
+MAX_FOX_LETTERS = 1000
 
 
 def _word_derivative(word: Word, gen_index: int):
@@ -32,11 +39,16 @@ def fox_derivative(x, gen_index: int, oracle: FreeOracle | None = None,
     """Derivative of a Word or a free-group-ring element w.r.t. one generator.
 
     A Word's derivative lies in ``domain[oracle]``; an element's derivative
-    lies over the element's own oracle and domain.
+    lies over the element's own oracle and domain.  A word of more than
+    ``MAX_FOX_LETTERS`` letters is refused with
+    :class:`~onerel.errors.UnsupportedError`.
     """
     if isinstance(x, Word):
         if oracle is None:
             raise InputError("the derivative of a word needs a free oracle")
+        if len(x) > MAX_FOX_LETTERS:
+            raise UnsupportedError(f"the word has {len(x)} letters; fox differentiates words "
+                                   f"of at most {MAX_FOX_LETTERS} letters, the supported maximum")
         return GroupRingElement(oracle, domain, _word_derivative(x, gen_index))
     return GroupRingElement(x.oracle, x.domain, [
         (prefix, sign * c)

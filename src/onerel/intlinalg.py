@@ -257,21 +257,34 @@ def _eliminate(rows):
             if (order := abs(row[j])) > 1:
                 orders.append(order)
         else:
-            units = [j for j, x in row.items() if x == 1 or x == -1]
-            if not units:
+            j, least = None, len(rows) + 1     # no column is longer than the row count
+            for jj, x in row.items():
+                if (x == 1 or x == -1) and (m := len(cols[jj])) < least:
+                    j, least = jj, m
+            if j is None:
                 stuck[width].append(i)
                 continue
-            j = min(units, key=lambda j: len(cols[j]))
-        u = row[j]          # +-1, its own inverse, unless the column is clear
+        u = row.pop(j)      # +-1, its own inverse, unless the column is clear
+        rows[i] = {}
         for jj in row:
             cols[jj].discard(i)
-        for k in list(cols[j]):
+        column = cols.pop(j)
+        column.discard(i)
+        for k in column:
             other = rows[k]
-            for jj in _subtract(other, other[j] * u, row):
-                cols[jj].symmetric_difference_update((k,))   # k joins or leaves
+            f = other.pop(j) * u
+            for jj, y in row.items():
+                x = other.get(jj)
+                if x is None:
+                    other[jj] = -f * y
+                    cols[jj].add(k)
+                elif x := x - f * y:
+                    other[jj] = x
+                else:
+                    del other[jj]
+                    cols[jj].discard(k)
             if other:
                 waiting[len(other)].append(k)
-        rows[i] = {}
         pivots += 1
     return pivots, orders
 
@@ -294,8 +307,13 @@ def _invariants(orders):
 
 
 def quotient_invariants(ambient_rank, relation_rows):
-    """Structure of Z^ambient_rank / rowspan as (free_rank, torsion factors)."""
-    rank, orders = _eliminate(_sparse(relation_rows))
+    """Structure of Z^ambient_rank / rowspan as (free_rank, torsion factors).
+
+    A sparse row of nonzero ints is eliminated in place, so the caller hands
+    it over; any other row is read into a fresh one.
+    """
+    rank, orders = _eliminate([row if isinstance(row, dict) and all(row.values())
+                               else _sparse((row,))[0] for row in relation_rows])
     return ambient_rank - rank, _invariants(orders) if orders else orders
 
 

@@ -372,6 +372,26 @@ class PermOracle(GroupOracle):
     def render(self, a):
         return permutation_cycles(a)
 
+    @functools.cached_property
+    def _label_ranks(self):
+        """Point -> its place among the points' decimal labels in string order."""
+        ranks = [0] * self.degree
+        for r, point in enumerate(sorted(range(self.degree), key=str)):
+            ranks[point] = r
+        return ranks
+
+    def term_order(self, a):
+        """``repr(a)``'s order, without the string.
+
+        Two images of one degree first differ at some point's label; there the
+        shorter of two labels, one a prefix of the other, sorts first in both
+        orders, since ``","`` and ``")"`` precede every digit.  So ``repr``
+        compares the images as tuples of labels, which the labels' ranks do in
+        ints.  Below 11 points string order is numeric order and the image is
+        its own key.
+        """
+        return a if self.degree <= 10 else tuple(map(self._label_ranks.__getitem__, a))
+
 
 class FreeOracle(GroupOracle):
     """Free group on named generators, ordered through the series expansion."""

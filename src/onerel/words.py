@@ -105,11 +105,6 @@ class Word:
         (i0, s0), (i1, s1) = self.letters[0], self.letters[-1]
         return not (i0 == i1 and s0 == -s1)
 
-    def rotations(self):
-        """All cyclic rotations as words (input should be cyclically reduced)."""
-        ls = self.letters
-        return [Word.trusted(ls[k:] + ls[:k]) for k in range(max(1, len(ls)))]
-
     def render(self, names):
         """Human-readable form like ``a^2*b^-3``; the identity is ``1``."""
         if not self.letters:

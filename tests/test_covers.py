@@ -2,12 +2,13 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import GF, Matrix, QQ as SYMPY_QQ, ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 from onerel.covers import build_cover_complex, generation_check, homology, weinbaum_scan
+from onerel.intlinalg import field_rank, quotient_invariants, spans_saturated
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
 from onerel.errors import InputError, UnsupportedError
 from onerel.foxcalc import QuotientMap, jacobian
@@ -108,6 +109,21 @@ class TestBuildCoverComplex:
         with pytest.raises(InputError, match="^cover boundary matrices do not compose to zero$"):
             build_cover_complex(p, q)
 
+    @pytest.mark.parametrize("column", [
+        [0, 2, 1],      # the walk along b^2 merges two unequal arrays at at[0] = 0
+        [1, 0, 2],      # it ends at the identity, but its two terms meet at point 2
+        [1, 2, 0],      # its two terms differ everywhere, but it does not end at 1
+    ])
+    def test_composite_check_fires_on_each_table_mutation(self, column):
+        """A corrupted column of the identity image ``b``, each failing one
+        part of the per-relator check alone: ``b`` is never inverted."""
+        p = parse_presentation("gens: a, b\nrels: b^2 ; a^3\nquotient: a -> (1 2 3), b -> ()")
+        q = QuotientMap.permutation(p)
+        assert build_cover_complex(p, q).cells[0] == [(1, (0, 1, 2), 2)]
+        q.oracle._columns[q.images[1]][:] = column
+        with pytest.raises(InputError, match="^cover boundary matrices do not compose to zero$"):
+            build_cover_complex(p, q)
+
     def test_rows_and_skeleton_come_from_the_table_alone(self, monkeypatch):
         """Once the elements are enumerated, no group operation and no Jacobian."""
         p = parse_presentation(FIXED_COVERS[-1])
@@ -171,26 +187,38 @@ class TestHomology:
         assert h3.h1_free_rank == 1  # 6 = 0 in F_3
 
     def test_invariant_under_basis_permutation(self, rng):
-        p = parse_presentation("gens: a, b\nrels: a^2*b^-3")
+        p = parse_presentation("gens: a, b\nrels: a^2*b^-3 ; b^6")
         q = twelve_cycle_quotient(p, 3, 2)
         c = build_cover_complex(p, q)
         h = homology(c)
+        n = c.order
         for _ in range(5):
-            rows = list(range(len(c.rows)))
-            cols = list(range(c.skeleton.n_edges()))
-            verts = list(range(len(c.skeleton.vertices)))
-            rng.shuffle(rows)
-            rng.shuffle(cols)
-            rng.shuffle(verts)
-            # new edge k is old edge cols[k]; new vertex i is old vertex verts[i]
-            new_edge = {e: k for k, e in enumerate(cols)}
-            new_vertex = {v: i for i, v in enumerate(verts)}
-            shuffled_rows = [{new_edge[e]: x for e, x in c.rows[r].items()} for r in rows]
-            skeleton = Graph(range(len(verts)),
-                             [(new_vertex[c.skeleton.edges[e][0]],
-                               new_vertex[c.skeleton.edges[e][1]]) for e in cols])
-            shuffled = replace(c, rows=shuffled_rows, skeleton=skeleton,
-                               forest=[new_edge[e] for e in c.forest])
+            # new vertex sigma[k] is old vertex k; new generator a is old
+            # generator gens[a]; new cell b is old cell cells[b], its row k
+            # the old cell's row within[b][k]
+            sigma = rng.sample(range(n), n)
+            gens = rng.sample(range(len(c.columns)), len(c.columns))
+            cells = rng.sample(range(len(c.cells)), len(c.cells))
+            within = [rng.sample(range(n), n) for _ in cells]
+            new_gen = {s: a for a, s in enumerate(gens)}
+            columns = [[0] * n for _ in gens]
+            for a, s in enumerate(gens):
+                for k, head in enumerate(c.columns[s]):
+                    columns[a][sigma[k]] = sigma[head]
+            shuffled_cells = [[(new_gen[j], tuple(sigma[at[t]] for t in within[b]), v)
+                               for j, at, v in c.cells[i]] for b, i in enumerate(cells)]
+            # old row k equals old row shift[k]; so does new row k' its image
+            shifts = []
+            for b, i in enumerate(cells):
+                back = {t: k for k, t in enumerate(within[b])}
+                shift = c.shifts[i]
+                shifts.append(None if shift is None else
+                              tuple(back[shift[t]] for t in within[b]))
+            shuffled = replace(c, columns=columns, cells=shuffled_cells, shifts=shifts,
+                               forest=[new_gen[e // n] * n + sigma[e % n] for e in c.forest])
+            rows = [i * n + t for b, i in enumerate(cells) for t in within[b]]
+            cols = [s * n + k for s in gens for k in sorted(range(n), key=sigma.__getitem__)]
+            verts = sorted(range(n), key=sigma.__getitem__)
             shuffled_d1 = incidence_rows(shuffled.skeleton)
             assert not any(map(any, mat_mul(shuffled.d2, shuffled_d1)))
             assert shuffled.d2 == [[c.d2[r][e] for e in cols] for r in rows]
@@ -376,6 +404,137 @@ def test_table_cover_against_tuple_products(cover):
     assert c.d2 == regular_jacobian(p, q)
     assert c.skeleton.edges == [(k, head, None) for h in images
                                 for k, head in enumerate(products(h))]
+
+
+def reference_cover(p, q):
+    """The cover as an earlier build made it: ``(|Q|, rows, edges, forest)``.
+
+    Every row is a full ``{edge: coefficient}`` dict, and every row's boundary
+    is summed in plain ints and must vanish.
+    """
+    n = len(q.oracle.elements())
+    first = {q.images[s]: s for s in reversed(range(p.rank))}
+    forest = [first[h] * n + parent
+              for h, parent in (q.oracle.cayley_tree()[1:] if n > 1 else ())]
+    columns = [q.oracle.cayley_column(q.images[s]) for s in range(p.rank)]
+    inverses = [sorted(range(n), key=column.__getitem__) for column in columns]
+    rows = []
+    for w in p.relators:
+        cur = list(range(n))
+        sums = [{} for _ in range(p.rank)]
+        for j, sign in w.letters:
+            nxt = list(map((columns if sign > 0 else inverses)[j].__getitem__, cur))
+            at = cur if sign > 0 else nxt
+            sums[j].setdefault(at[0], [at, 0])[1] += sign
+            cur = nxt
+        terms = [(j * n, at, c) for j, m in enumerate(sums) for at, c in m.values() if c]
+        rows += [{base + at[k]: c for base, at, c in terms} for k in range(n)]
+    edges = [(k, head) for column in columns for k, head in enumerate(column)]
+    for row in rows:
+        boundary = Counter()
+        for e, c in row.items():
+            tail, head = edges[e]
+            boundary[head] += c
+            boundary[tail] -= c
+        assert not any(boundary.values())
+    return n, rows, edges, forest
+
+
+def reference_coordinates(rows, n_edges, forest):
+    """Each full row restricted to the non-forest edges, and their count."""
+    position = [None] * n_edges
+    non_forest = sorted(set(range(n_edges)).difference(forest))
+    for k, e in enumerate(non_forest):
+        position[e] = k
+    return [{position[e]: v for e, v in row.items() if position[e] is not None}
+            for row in rows], len(non_forest)
+
+
+def reference_h1(rows, n_edges, forest, domain):
+    """H1's free rank and torsion from the distinct restricted rows."""
+    coords, n_cycles = reference_coordinates(rows, n_edges, forest)
+    coords = list({frozenset(row.items()): row for row in coords}.values())
+    if domain.is_field:
+        return n_cycles - field_rank(coords, domain), []
+    return quotient_invariants(n_cycles, coords)
+
+
+def reference_triplets(n, rows, edges):
+    d1 = []
+    for tail, head in edges:
+        boundary = Counter({head: 1})
+        boundary[tail] -= 1
+        d1.append({v: x for v, x in boundary.items() if x})
+    out = []
+    for name, mat, cols in (("d2", rows, len(edges) if rows else 0),
+                            ("d1", d1, n if edges else 0)):
+        out.append(f"matrix {name} {len(mat)} {cols}")
+        for i, row in enumerate(mat):
+            out += [f"{i} {j} {v}" for j, v in sorted(row.items())]
+    return "\n".join(out)
+
+
+@st.composite
+def reference_cases(draw):
+    """A table cover whose relators are squared at random, and a row subset.
+
+    A squared relator is a proper power; its repeated rows carry even
+    coefficients, which give torsion.
+    """
+    p, q = draw(table_covers())
+    squares = draw(st.lists(st.booleans(), min_size=len(p.relators),
+                            max_size=len(p.relators)))
+    p = Presentation(p.names, [w * w if sq else w for w, sq in zip(p.relators, squares)])
+    q = QuotientMap.trivial(p) if q.kind == "trivial" else \
+        QuotientMap.permutation(p, q.images)
+    n = len(q.oracle.elements())
+    subset = draw(st.lists(st.integers(0, len(p.relators) * n - 1), max_size=3 * n))
+    return p, q, subset
+
+
+def with_reference_examples(test):
+    """Explicit cases: torsion Z/2 at a 3-cycle; a^4 at an element of order 2,
+    whose repeated rows carry the coefficient 2; and loops from a trivial image."""
+    for text, subset in (
+            ("gens: a\nrels: a^6\nquotient: a -> (1 2 3)", [0, 1, 2]),
+            ("gens: a, b\nrels: a^4 ; b^3 ; (a*b)^4\nquotient: a -> (1 2), b -> (2 3 4)",
+             list(range(0, 72, 3))),
+            ("gens: a, b\nrels: a^2*b^-2\nquotient: a -> (1 2), b -> ()", [1])):
+        p = parse_presentation(text)
+        test = example((p, QuotientMap.permutation(p), subset))(test)
+    return test
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@with_reference_examples
+@given(reference_cases())
+def test_cover_and_homology_against_the_reference(case):
+    """Rows, skeleton, forest, triplets, H0, H1 over Z, F2, F3 and Q and the
+    generation check against the full-row build and its homology."""
+    p, q, subset = case
+    c = build_cover_complex(p, q)
+    n, rows, edges, forest = reference_cover(p, q)
+    assert c.order == n and c.rows == rows and c.forest == forest
+    for i, (w, shift) in enumerate(zip(p.relators, c.shifts)):
+        # a proper power's rows repeat along its root: row k is row shift[k]
+        letters = w.letters
+        power = any(not len(w) % d and letters == letters[:d] * (len(w) // d)
+                    for d in range(1, len(w)))
+        assert (shift is not None) == power
+        if shift is not None:
+            assert sorted(shift) == list(range(n))
+            assert all(rows[i * n + k] == rows[i * n + shift[k]] for k in range(n))
+    assert c.skeleton.edges == [(tail, head, None) for tail, head in edges]
+    assert c.shape == (len(rows), len(edges), n if edges else 0)
+    assert c.to_triplet_text() == reference_triplets(n, rows, edges)
+    coords, n_cycles = reference_coordinates(rows, len(edges), forest)
+    for domain in (ZZ, PrimeFieldDomain(2), PrimeFieldDomain(3), QQ):
+        view = replace(c, domain=domain)
+        h = homology(view)
+        assert (h.h0_free_rank, h.h0_torsion) == (n - len(forest), [])
+        assert (h.h1_free_rank, h.h1_torsion) == reference_h1(rows, len(edges), forest, domain)
+        assert generation_check(view, subset) == spans_saturated(
+            [coords[r] for r in sorted(set(subset))], n_cycles, domain)
 
 
 def tuple_bfs(oracle):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from onerel.domains import QQ, ZZ, parse_domain
-from onerel.errors import InputError, InternalCheckError
-from onerel.foxcalc import (QuotientMap, fox_derivative,
+from onerel.errors import InputError, InternalCheckError, UnsupportedError
+from onerel.foxcalc import (MAX_FOX_LETTERS, QuotientMap, fox_derivative,
                             fundamental_identity_check, jacobian,
                             resolution_complex)
 from onerel.groupring import GroupRingElement
@@ -61,6 +61,12 @@ class TestFoxDerivative:
         x = fre(([(A, 1)], 2), ([(B, 1), (A, 1)], -1))
         d = fox_derivative(x, A)
         assert d == fre(([], 2), ([(B, 1)], -1))
+
+    def test_word_past_the_cap_is_refused(self):
+        at_cap = Word([(A, 1)] * MAX_FOX_LETTERS)
+        assert len(fox_derivative(at_cap, A, FREE).terms) == MAX_FOX_LETTERS
+        with pytest.raises(UnsupportedError, match=f"at most {MAX_FOX_LETTERS} letters"):
+            fox_derivative(Word([(A, 1)] * (MAX_FOX_LETTERS + 1)), B, FREE)
 
 
 class TestFundamentalIdentity:

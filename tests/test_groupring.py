@@ -347,6 +347,22 @@ class TestPermutationCycles:
         assert parse_permutation(text) == perm
 
 
+class TestPermutationTermOrder:
+    @pytest.mark.parametrize("degree", [1, 2, 10, 11, 12, 25, 101, 300])
+    def test_sorts_like_repr(self, rng, degree):
+        """At 11 points and up ``10`` sorts before ``2``, as in ``repr``."""
+        oracle = PermOracle(degree)
+        perms = [tuple(rng.sample(range(degree), degree)) for _ in range(40)]
+        # images that agree on a prefix, so later labels decide
+        perms += [p[:1] + tuple(rng.sample(p[1:], degree - 1)) for p in perms[:10]]
+        assert sorted(perms, key=oracle.term_order) == sorted(perms, key=repr)
+        if degree >= 11:
+            ten, two = list(range(degree)), list(range(degree))
+            ten[0], ten[10] = 10, 0
+            two[0], two[2] = 2, 0
+            assert oracle.term_order(tuple(ten)) < oracle.term_order(tuple(two))
+
+
 class TestPermutationParsing:
     def test_cycle_round_trip(self):
         perm = parse_permutation("(1 2 3)(4 5)")
