@@ -250,30 +250,30 @@ def _coordinate_rows(c: CoverComplex):
     The rows are read straight off the cells: ``cell_rows(terms, shift)``
     gives a cell's rows in order, each as the frozenset of its
     ``(coordinate, coefficient)`` pairs, and with a shift only the first row
-    of each of its cycles.  A term maps its array through a table of its
-    generator's edges paired with its coefficient, the coordinate ``None`` on
-    a forest edge, and the pairs at ``None`` are dropped.  A row holds each
-    term once, at distinct edges.
+    of each of its cycles.  A term maps its array through its generator's
+    slice of a table from each edge to its pair with the term's coefficient,
+    ``None`` on a forest edge, and the ``None`` entries are dropped.  A row
+    holds each term once, at distinct edges.
     """
     n = c.order
-    non_forest = sorted(set(range(len(c.columns) * n)).difference(c.forest))
-    position = dict(zip(non_forest, range(len(non_forest))))      # edge -> coordinate
-    tables = {}      # (generator, coefficient) -> edge k -> (its coordinate, coefficient)
+    n_edges = len(c.columns) * n
+    non_forest = sorted(set(range(n_edges)).difference(c.forest))
+    tables = {}      # coefficient v -> edge -> (its coordinate, v), or None on the forest
+
+    def table(v):
+        if v not in tables:
+            pairs = dict(zip(non_forest, zip(range(len(non_forest)), repeat(v))))
+            tables[v] = list(map(pairs.get, range(n_edges)))
+        return tables[v]
 
     def cell_rows(terms, shift=None):
         if not terms:
             return repeat(frozenset(), n)
-        placed = []
-        for j, at, v in terms:
-            if (j, v) not in tables:
-                edges = range(j * n, (j + 1) * n)
-                tables[j, v] = list(zip(map(position.get, edges), repeat(v)))
-            placed.append(map(tables[j, v].__getitem__, at))
-        forest = frozenset((None, v) for _, _, v in terms)
+        placed = [map(table(v)[j * n:(j + 1) * n].__getitem__, at) for j, at, v in terms]
         rows = zip(*placed)
         if shift is not None:
             rows = compress(rows, _orbit_firsts(shift))
-        return map(frozenset.difference, map(frozenset, rows), repeat(forest))
+        return map(frozenset, map(filter, repeat(None), rows))
 
     return cell_rows, len(non_forest)
 
