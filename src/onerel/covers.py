@@ -146,7 +146,9 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
     refused with :class:`~onerel.errors.InputError`.  On a genuine table all
     hold: the relator is killed, and in a free action ``at[0]`` fixes the
     prefix's image and with it all of ``at``, so two distinct arrays differ
-    at every ``k``.
+    at every ``k``.  An action that is not free, such as one on the cosets
+    of a point stabiliser, can merge unequal arrays or put two terms on one
+    edge; it is refused, not truncated.
 
     For a relator ``u^m`` the walk's array after ``u`` is its shift.  The
     array after letter ``t + |u|`` is the array after ``t`` composed with the
