@@ -309,10 +309,12 @@ def _invariants(orders):
 def quotient_invariants(ambient_rank, relation_rows):
     """Structure of Z^ambient_rank / rowspan as (free_rank, torsion factors).
 
-    A sparse row of nonzero ints is eliminated in place, so the caller hands
-    it over; any other row is read into a fresh one.
+    A ``{column: value}`` row whose values are all nonzero plain ints is
+    eliminated in place, so the caller hands it over; any other row is read
+    into a fresh one, its values coerced with ``int``.
     """
-    rank, orders = _eliminate([row if isinstance(row, dict) and all(row.values())
+    rank, orders = _eliminate([row if type(row) is dict and all(type(v) is int and v
+                                                               for v in row.values())
                                else _sparse((row,))[0] for row in relation_rows])
     return ambient_rank - rank, _invariants(orders) if orders else orders
 

@@ -387,10 +387,9 @@ class PermOracle(GroupOracle):
         shorter of two labels, one a prefix of the other, sorts first in both
         orders, since ``","`` and ``")"`` precede every digit.  So ``repr``
         compares the images as tuples of labels, which the labels' ranks do in
-        ints.  Below 11 points string order is numeric order and the image is
-        its own key.
+        ints.
         """
-        return a if self.degree <= 10 else tuple(map(self._label_ranks.__getitem__, a))
+        return tuple(map(self._label_ranks.__getitem__, a))
 
 
 class FreeOracle(GroupOracle):
