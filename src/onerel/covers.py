@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 
 from .domains import Domain, ZZ
 from .errors import InputError, UnsupportedError
 from .foxcalc import QuotientMap
 from .graphs import Graph
 # ``solve_left`` is unused; the benchmark's tracer test patches ``covers.solve_left``.
-from .intlinalg import field_rank, quotient_invariants, solve_left, spans_saturated
+from .intlinalg import field_rank, quotient_invariants_in_place, solve_left, spans_saturated
 from .presentations import Presentation
 from .words import Word
 
@@ -52,10 +52,7 @@ class CoverComplex:
     ``cells[i]`` is relator ``i``'s 2-cell: its merged Fox terms ``(j, at,
     c)``, generator ``j``, the prefix images ``at[k] = idx(elements[k] *
     prefix)`` and coefficient ``c``.  ``columns[s]`` is generator ``s``'s
-    Cayley-table column, ``[idx(elements[k] * phi(s)) for k]``.  For a
-    relator that is a proper power ``u^m`` of its letters, ``shifts[i]`` is
-    a permutation of its rows with row ``shifts[i][k]`` equal to row ``k``;
-    otherwise it is None.  ``forest`` lists the skeleton edges of a spanning
+    Cayley-table column, ``[idx(elements[k] * phi(s)) for k]``.  ``forest`` lists the skeleton edges of a spanning
     forest, the enumeration's BFS tree.  The views below are built only when
     read.
     """
@@ -66,7 +63,6 @@ class CoverComplex:
     order: int                # |Q|, the number of vertices
     columns: list             # generator s -> its Cayley-table column
     cells: list               # relator i -> its terms (j, at, c)
-    shifts: list              # relator i -> a permutation of its rows, or None
     forest: list              # skeleton edges of a spanning forest
 
     @cached_property
@@ -150,14 +146,6 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
     of a point stabiliser, can merge unequal arrays or put two terms on one
     edge; it is refused, not truncated.
 
-    For a relator ``u^m`` the walk's array after ``u`` is its shift.  The
-    array after letter ``t + |u|`` is the array after ``t`` composed with the
-    shift, since the same maps are applied in the same order, and past the
-    end it wraps, since the walk ends at the identity.  So when the shift is
-    a permutation, ``at -> at o shift`` permutes the terms, coefficients
-    included, and row ``shift[k]`` equals row ``k``: in a group, ``g`` and
-    ``g * u`` carry the same row.
-
     A quotient whose oracle cannot enumerate its elements, such as Z^k or a
     group above the order cap, is refused with
     :class:`~onerel.errors.UnsupportedError`.  The forest is the oracle's BFS
@@ -176,14 +164,11 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
     if any(tuple(map(columns[j].__getitem__, inverse)) != identity
            for j, inverse in inverses.items()):
         raise InputError(COMPOSITE_REFUSAL)
-    cells, shifts = [], []
+    cells = []
     for w in p.relators:
-        root = _root_length(w.letters)
-        cur = shift = identity
+        cur = identity
         sums = [{} for _ in range(p.rank)]   # per generator: {cur[0]: [cur, coefficient]}
-        for i, (j, sign) in enumerate(w.letters):
-            if i == root:
-                shift = cur
+        for j, sign in w.letters:
             nxt = tuple(map((columns if sign > 0 else inverses)[j].__getitem__, cur))
             at = cur if sign > 0 else nxt      # the prefix without or with the letter
             merged = sums[j].get(at[0])
@@ -205,16 +190,8 @@ def build_cover_complex(p: Presentation, q: QuotientMap,
                 raise InputError(COMPOSITE_REFUSAL)
             terms += kept
         cells.append(terms)
-        shifts.append(shift if root < len(w) and len(set(shift)) == n else None)
     return CoverComplex(presentation=p, quotient=q, domain=domain, order=n, columns=columns,
-                        cells=cells, shifts=shifts, forest=forest)
-
-
-def _root_length(letters):
-    """The least d with ``letters`` the (len / d)-th power of its first d letters."""
-    size = len(letters)
-    return next((d for d in range(1, size) if not size % d
-                 and letters == letters[:d] * (size // d)), size)
+                        cells=cells, forest=forest)
 
 
 @dataclass
@@ -249,10 +226,9 @@ def _coordinate_rows(c: CoverComplex):
     cycle because its boundary was verified to vanish.  The forest is
     ``c.forest``, the BFS tree the quotient's enumeration recorded.
 
-    The rows are read straight off the cells: ``cell_rows(terms, shift)``
-    gives a cell's rows in order, each as the frozenset of its
-    ``(coordinate, coefficient)`` pairs, and with a shift only the first row
-    of each of its cycles.  A term maps its array through its generator's
+    The rows are read straight off the cells: ``cell_rows(terms)`` gives a
+    cell's rows in order, each as the frozenset of its ``(coordinate,
+    coefficient)`` pairs.  A term maps its array through its generator's
     slice of a table from each edge to its pair with the term's coefficient,
     ``None`` on a forest edge, and the ``None`` entries are dropped.  A row
     holds each term once, at distinct edges.
@@ -268,29 +244,13 @@ def _coordinate_rows(c: CoverComplex):
             tables[v] = list(map(pairs.get, range(n_edges)))
         return tables[v]
 
-    def cell_rows(terms, shift=None):
+    def cell_rows(terms):
         if not terms:
             return repeat(frozenset(), n)
         placed = [map(table(v)[j * n:(j + 1) * n].__getitem__, at) for j, at, v in terms]
-        rows = zip(*placed)
-        if shift is not None:
-            rows = compress(rows, _orbit_firsts(shift))
-        return map(frozenset, map(filter, repeat(None), rows))
+        return map(frozenset, map(filter, repeat(None), zip(*placed)))
 
     return cell_rows, len(non_forest)
-
-
-def _orbit_firsts(perm):
-    """A mask, 1 at the least index of each cycle of the permutation ``perm``."""
-    first, seen = bytearray(len(perm)), bytearray(len(perm))
-    for k in range(len(perm)):
-        if not seen[k]:
-            first[k] = 1
-            x = k
-            while not seen[x]:
-                seen[x] = 1
-                x = perm[x]
-    return first
 
 
 def _cycle_coordinates(c: CoverComplex):
@@ -315,20 +275,19 @@ def homology(c: CoverComplex) -> HomologyReport:
     of ``d2``.  A coordinate row equal to one already kept is dropped before
     it is built as a dict: it adds nothing to the row span, so ranks and
     Smith invariants stay the same.  A proper-power relator ``u^m`` repeats
-    its row at ``g`` at ``g * u`` (Lyndon's cyclic relation module), so of
-    each such orbit only the first row is read off the cell, and it enters
-    the elimination once.  Over Z the rows are handed to
+    its row at ``g`` at ``g * u`` (Lyndon's cyclic relation module), so its
+    rows are the commonest repeats.  Over Z the rows are handed to
     the elimination, which works on them in place, with no copy, and this is
     Smith-form exact; over a field the torsion lists are empty and the free
     ranks are dimensions.
     """
     cell_rows, n_cycles = _coordinate_rows(c)
-    rows = chain.from_iterable(map(cell_rows, c.cells, c.shifts))
+    rows = chain.from_iterable(map(cell_rows, c.cells))
     coords = list(map(dict, dict.fromkeys(rows)))
     if c.domain.is_field:
         h1_free, h1_torsion = n_cycles - field_rank(coords, c.domain), []
     else:
-        h1_free, h1_torsion = quotient_invariants(n_cycles, coords)
+        h1_free, h1_torsion = quotient_invariants_in_place(n_cycles, coords)
     return HomologyReport(domain=c.domain, h0_free_rank=c.order - len(c.forest),
                           h0_torsion=[], h1_free_rank=h1_free, h1_torsion=h1_torsion)
 

@@ -307,15 +307,16 @@ def _invariants(orders):
 
 
 def quotient_invariants(ambient_rank, relation_rows):
-    """Structure of Z^ambient_rank / rowspan as (free_rank, torsion factors).
+    """Structure of Z^ambient_rank / rowspan as (free_rank, torsion factors)."""
+    return quotient_invariants_in_place(ambient_rank, _sparse(relation_rows))
 
-    A ``{column: value}`` row whose values are all nonzero plain ints is
-    eliminated in place, so the caller hands it over; any other row is read
-    into a fresh one, its values coerced with ``int``.
+
+def quotient_invariants_in_place(ambient_rank, rows):
+    """``quotient_invariants`` of sparse ``{column: nonzero int}`` rows.
+
+    The rows are eliminated in place, so the caller hands them over.
     """
-    rank, orders = _eliminate([row if type(row) is dict and all(type(v) is int and v
-                                                               for v in row.values())
-                               else _sparse((row,))[0] for row in relation_rows])
+    rank, orders = _eliminate(rows)
     return ambient_rank - rank, _invariants(orders) if orders else orders
 
 

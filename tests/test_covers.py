@@ -207,14 +207,7 @@ class TestHomology:
                     columns[a][sigma[k]] = sigma[head]
             shuffled_cells = [[(new_gen[j], tuple(sigma[at[t]] for t in within[b]), v)
                                for j, at, v in c.cells[i]] for b, i in enumerate(cells)]
-            # old row k equals old row shift[k]; so does new row k' its image
-            shifts = []
-            for b, i in enumerate(cells):
-                back = {t: k for k, t in enumerate(within[b])}
-                shift = c.shifts[i]
-                shifts.append(None if shift is None else
-                              tuple(back[shift[t]] for t in within[b]))
-            shuffled = replace(c, columns=columns, cells=shuffled_cells, shifts=shifts,
+            shuffled = replace(c, columns=columns, cells=shuffled_cells,
                                forest=[new_gen[e // n] * n + sigma[e % n] for e in c.forest])
             rows = [i * n + t for b, i in enumerate(cells) for t in within[b]]
             cols = [s * n + k for s in gens for k in sorted(range(n), key=sigma.__getitem__)]
@@ -515,15 +508,6 @@ def test_cover_and_homology_against_the_reference(case):
     c = build_cover_complex(p, q)
     n, rows, edges, forest = reference_cover(p, q)
     assert c.order == n and c.rows == rows and c.forest == forest
-    for i, (w, shift) in enumerate(zip(p.relators, c.shifts)):
-        # a proper power's rows repeat along its root: row k is row shift[k]
-        letters = w.letters
-        power = any(not len(w) % d and letters == letters[:d] * (len(w) // d)
-                    for d in range(1, len(w)))
-        assert (shift is not None) == power
-        if shift is not None:
-            assert sorted(shift) == list(range(n))
-            assert all(rows[i * n + k] == rows[i * n + shift[k]] for k in range(n))
     assert c.skeleton.edges == [(tail, head, None) for tail, head in edges]
     assert c.shape == (len(rows), len(edges), n if edges else 0)
     assert c.to_triplet_text() == reference_triplets(n, rows, edges)

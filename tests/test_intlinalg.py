@@ -94,8 +94,8 @@ class TestSmith:
         free, torsion = quotient_invariants(3, [[2, 0, 0], [0, 3, 0]])
         assert free == 1 and torsion == [2, 3] or (free == 1 and torsion == [6])
 
-    def test_dict_rows_of_other_values_give_int_invariants(self):
-        for value in (Fraction(2), 2.0):
+    def test_dict_rows_are_copied_and_give_int_invariants(self):
+        for value in (2, Fraction(2), 2.0):
             rows = [{0: value, 1: 0}, {1: value * 3}]
             free, torsion = quotient_invariants(3, rows)
             assert (free, torsion) == (1, [2, 6])
