@@ -92,6 +92,9 @@ def _cases():
                      [cmd, "--file", TREFOIL, "--quotient", LADDER[6]])
         out += _both(f"{cmd}_trefoil_quotient_q",
                      [cmd, "--file", TREFOIL, "--quotient", LADDER[12], "--ring", "Q"])
+        # a generator named twice in --to-abelian
+        out += _both(f"{cmd}_trefoil_to_abelian_repeated",
+                     [cmd, "--file", TREFOIL, "--to-abelian", "a=5,b=2,a=3"])
     out += _both("jacobian_bs12_abelianize_refused",
                  ["jacobian", "--file", BS12, "--abelianize"])
     out += _both("jacobian_quotient_not_killing",
@@ -234,6 +237,21 @@ def _cases():
                       "--cycle", "e1:2,e2:-2", "--ring", ring])
     out += _both("lift_not_cycle", ["lift", "--graph", THETA, "--h-edges", "e1",
                                      "--cycle", "e1:1"])
+    # the lift is the fundamental cycle of the one designated edge that a
+    # forest leaves out: the loop e5, or e4 of two designated triangle sides
+    for ring, tag in (("Z", ""), ("3", "_f3")):
+        out += _both(f"lift_designated_loop{tag}",
+                     ["lift", "--graph", f"{INPUTS}/designated_loop.graph",
+                      "--h-edges", "e1,e5", "--cycle", "e3:-1,e4:-1,e5:-1,e6:2",
+                      "--ring", ring])
+        out += _both(f"lift_designated_triangle{tag}",
+                     ["lift", "--graph", f"{INPUTS}/designated_triangle.graph",
+                      "--h-edges", "e1,e3,e4", "--cycle", "e1:-1,e2:1,e4:-1,e5:2",
+                      "--ring", ring])
+    # an edge named twice in --cycle
+    out += _both("lift_theta_repeated_edge",
+                 ["lift", "--graph", THETA, "--h-edges", "e1",
+                  "--cycle", "e1:5,e1:1,e2:-1"])
 
     for n in (1, 2, 3):
         out += _both(f"verify_example_{n}", ["verify-example", "--n", str(n)])
