@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .domains import ZZ
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 
 
 class Graph:
@@ -202,15 +202,6 @@ class CycleLift:
     verified: bool = False
 
 
-def _walk_is_embedded(graph, walk):
-    """No vertex visited twice along the closed walk (start counted once)."""
-    visited = []
-    for e, sign in walk:
-        tail, head, _ = graph.edges[e]
-        visited.append(tail if sign > 0 else head)
-    return len(visited) == len(set(visited))
-
-
 def _edge_index(graph, e):
     """The index of an edge given by its label or its index."""
     if not isinstance(e, str):
@@ -239,6 +230,16 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
     the left-out edges, with r mapping to its entries there.  So ``r`` and
     Z1(G - H) span Z1(G) exactly when one H edge h1 is left out and r[h1] is
     a unit.  The off-H basis of the certificate is F0's fundamental cycles.
+
+    The lift is then h1's fundamental cycle c in the same construction on
+    the support S of ``r``: a BFS forest of S - H, extended by S's H edges
+    in index order.  A cycle meets no vertex in exactly one non-loop edge,
+    so S has no leaf to prune.  S's components refine G's at each greedy
+    step, so S's extension leaves out only edges that F leaves out, that
+    is only h1; and it leaves out at least one, or the argument above, run
+    on S, would put ``r`` off H.  A fundamental cycle is embedded and is 1
+    on its own edge, so the unit is r[h1] and ``r - r[h1]*c``, a cycle of S
+    that vanishes on the one left-out edge, lies off H.
     """
     h = {_edge_index(graph, e) for e in h_edges}
     if not h.issubset(range(graph.n_edges())):
@@ -260,91 +261,52 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
         return NotApplicable(
             "the cycle space is not spanned by the cycle plus off-H cycles")
 
-    # minimal support subgraph, pruned of degree <= 1 vertices
-    support = sorted(r)
-    gamma_edges = set(support)
-    changed = True
-    while changed:
-        changed = False
-        degree = {}
-        for e in gamma_edges:
-            tail, head, _ = graph.edges[e]
-            degree[tail] = degree.get(tail, 0) + 1
-            degree[head] = degree.get(head, 0) + 1
-        drop = {e for e in gamma_edges
-                if degree[graph.edges[e][0]] <= 1 or degree[graph.edges[e][1]] <= 1}
-        drop = {e for e in drop if graph.edges[e][0] != graph.edges[e][1]}
-        if drop:
-            gamma_edges -= drop
-            changed = True
-    if not gamma_edges.intersection(h):
-        return NotApplicable("pruned support subgraph misses the designated edges")
-
-    # forest of gamma minus H, extended across its components by H edges
-    gamma_forest0, _ = graph.spanning_forest(edge_subset=gamma_edges - h)
+    h1 = left_out[0]
+    support = set(r)
+    support_forest0, _ = graph.spanning_forest(edge_subset=support - h)
     forest, parent = graph.spanning_forest(
-        edge_subset=_extend_forest(graph, gamma_forest0, gamma_edges & h))
-
-    candidates = sorted(e for e in gamma_edges.intersection(h) if e not in forest)
-    if not candidates:
-        return NotApplicable("every designated edge is a forest edge; no cycle to lift")
-
+        edge_subset=_extend_forest(graph, support_forest0, support & h))
+    if (support & h) - forest != {h1}:
+        raise InternalCheckError(f"the support's forest leaves out designated edges "
+                                 f"other than {graph.label(h1)}")
+    tail, head, _ = graph.edges[h1]
+    walk = [(h1, 1)] + _tree_route(parent, head, tail)
+    chain = _walk_chain(walk, domain)
+    unit = r[h1]
+    # r - unit*c is a cycle off H, so its off-H coordinates are its entries
+    # on the off-H basis' own edges: each fundamental cycle is 1 on its own
+    # edge (the first of its walk) and 0 on the others'
     off_basis, off_walks = _fundamental_cycles(graph, off_h, forest0, parent0, domain)
-    last_reason = "no unit solution"
-    for e_star in candidates:
-        tail, head, _ = graph.edges[e_star]
-        walk = [(e_star, 1)] + _tree_route(parent, head, tail)
-        chain = _walk_chain(walk, domain)
-        if not _walk_is_embedded(graph, walk):
-            last_reason = "candidate fundamental cycle is not embedded"
-            continue
-        lam_h = chain.get(e_star, domain.zero)
-        r_h = r.get(e_star, domain.zero)
-        # solve r - u*lambda == 0 on all designated edges
-        unit = _solve_unit(domain, r_h, lam_h)
-        if unit is None:
-            last_reason = "no unit makes the designated-edge projections match"
-            continue
-        residual = dict(r)
-        for j, c in chain.items():
-            nc = domain.coerce(residual.get(j, 0) - unit * c)
-            if nc:
-                residual[j] = nc
-            else:
-                residual.pop(j, None)
-        if any(j in h for j in residual):
-            last_reason = "residual still meets the designated edges"
-            continue
-        # the residual is a cycle off H, so its off-H coordinates are its
-        # entries on the off-H basis' own edges: each fundamental cycle is 1
-        # on its own edge (the first of its walk) and 0 on the others'
-        coeffs = [residual.get(walk[0][0], domain.zero) for walk in off_walks]
-        lift = CycleLift(cycle_walk=walk, cycle_chain=chain, unit=unit,
-                         k_coefficients=coeffs, k_basis=off_basis)
-        _verify_lift(graph, r, lift, domain)
-        lift.verified = True
-        return lift
-    return NotApplicable(last_reason)
+    coeffs = [domain.coerce(r.get(e, 0) - unit * chain.get(e, 0))
+              for (e, _), *_ in off_walks]
+    lift = CycleLift(cycle_walk=walk, cycle_chain=chain, unit=unit,
+                     k_coefficients=coeffs, k_basis=off_basis)
+    _verify_lift(graph, h, r, lift, domain)
+    lift.verified = True
+    return lift
 
 
-def _solve_unit(domain, r_h, lam_h):
-    if not lam_h:
-        return None
-    if domain.is_field:
-        return domain.coerce(r_h * domain.inv(lam_h))
-    # integers: lam divides r and the quotient is a unit
-    if r_h % lam_h:
-        return None
-    q = r_h // lam_h
-    return q if domain.is_unit(q) else None
+def _verify_lift(graph, h, r, lift, domain):
+    """Re-check a lift from scratch, raising :class:`InternalCheckError`.
 
-
-def _verify_lift(graph, r, lift, domain):
-    """Re-check a lift: embedded, a unit, and ``r = sum k_i*b_i + u*cycle``."""
-    if not _walk_is_embedded(graph, lift.cycle_walk):
-        raise InputError("lift verification failed: cycle not embedded")
+    The walk is an embedded closed walk whose chain is ``cycle_chain`` and
+    meets ``h``; the unit is a unit; the basis chains are cycles off ``h``;
+    and ``r = sum k_i*b_i + u*cycle``.
+    """
+    # each step as (start, end): the edge's (tail, head), reversed when s = -1
+    steps = [graph.edges[e][:2][::s] for e, s in lift.cycle_walk]
+    if (any(a[1] != b[0] for a, b in zip(steps, steps[1:] + steps[:1]))
+            or len({a for a, _ in steps}) < len(steps)):
+        raise InternalCheckError("lift verification failed: "
+                                 "cycle not an embedded closed walk")
+    if (_walk_chain(lift.cycle_walk, domain) != lift.cycle_chain
+            or not h & lift.cycle_chain.keys()):
+        raise InternalCheckError("lift verification failed: the cycle's chain is not "
+                                 "its walk's, or misses H")
     if not domain.is_unit(lift.unit):
-        raise InputError("lift verification failed: coefficient is not a unit")
+        raise InternalCheckError("lift verification failed: coefficient is not a unit")
+    if any(h & b.keys() or graph.boundary(b, domain) for b in lift.k_basis):
+        raise InternalCheckError("lift verification failed: a basis chain is not a cycle off H")
     recon = {}
     for coeff, chain in [*zip(lift.k_coefficients, lift.k_basis),
                          (lift.unit, lift.cycle_chain)]:
@@ -352,7 +314,7 @@ def _verify_lift(graph, r, lift, domain):
             recon[j] = recon.get(j, 0) + coeff * c
     coerce = domain.coerce
     if {j: x for j, c in recon.items() if (x := coerce(c))} != r:
-        raise InputError("lift verification failed: certificate does not recombine")
+        raise InternalCheckError("lift verification failed: certificate does not recombine")
 
 
 def _extend_forest(graph, forest0, joining):

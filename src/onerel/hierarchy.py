@@ -93,29 +93,26 @@ class PrefixSequence:
 def prefix_sequence(w: Word, phi: EpimorphismToZ, partition) -> PrefixSequence:
     """Level sequence of the syllable prefixes of a two-factor word.
 
-    ``partition`` maps generator index to one of exactly two factor tags; the
-    word must alternate factors cyclically (even syllable count).  The raw
-    sequence records phi of each syllable prefix; normalisation rotates to a
-    cyclic minimum and possibly inverts so that entries are non-negative,
-    endpoints are zero and the first step is divisible by the larger factor
-    step ``b``.
+    ``partition`` maps generator index to one of exactly two factor tags.  A
+    word meeting both factors alternates them cyclically: read from its
+    first factor boundary, it has an even syllable count.  The raw sequence
+    records phi of each syllable prefix; normalisation rotates to a cyclic
+    minimum and possibly inverts so that entries are non-negative, endpoints
+    are zero and the first step is divisible by the larger factor step ``b``.
     """
     if phi(w) != 0:
         raise InputError("prefix sequences need a relator in the kernel of phi")
-    decomp = syllable_decompose(w, partition)
-    syllables = decomp.syllables
+    syllables = syllable_decompose(w, partition).syllables
     tags = sorted({tag for tag, _ in syllables})
     if len(tags) != 2:
         raise InputError("prefix sequences need a word meeting exactly two factors")
     if len(syllables) % 2:
         # first and last runs share a factor: pass to the cyclic conjugate
-        # starting at the first factor boundary, where the runs merge
+        # starting at the first factor boundary, where the runs merge into one
+        # and the count becomes even
         shift = len(syllables[0][1])
         w = Word.trusted(w.letters[shift:] + w.letters[:shift])
-        decomp = syllable_decompose(w, partition)
-        syllables = decomp.syllables
-    if len(syllables) % 2:
-        raise InputError("word does not alternate factors cyclically")
+        syllables = syllable_decompose(w, partition).syllables
 
     steps = [phi(piece) for _, piece in syllables]
     raw = list(itertools.accumulate(steps, initial=0))
@@ -452,7 +449,7 @@ def _window_loops(edges, phi, low, high, roots=None):
 @dataclass
 class HierarchyNode:
     presentation: Presentation
-    status: str                  # "internal" | "free" | "cyclic" | "stuck" | "truncated"
+    status: str                  # "internal" | "free" | "cyclic" | "truncated"
     depth: int
     free_rank: int | None = None
     cyclic_order: int | None = None
@@ -462,7 +459,7 @@ class HierarchyNode:
     note: str = ""
 
     def is_leaf(self):
-        return self.status in ("free", "cyclic", "stuck", "truncated")
+        return self.status in ("free", "cyclic", "truncated")
 
     def label(self):
         rels = " ; ".join(w.render(self.presentation.names)
@@ -472,8 +469,8 @@ class HierarchyNode:
             head += f"  [leaf: free of rank {self.free_rank}]"
         elif self.status == "cyclic":
             head += f"  [leaf: cyclic of order {self.cyclic_order}]"
-        elif self.status in ("stuck", "truncated"):
-            head += f"  [leaf: {self.status}] {self.note}"
+        elif self.status == "truncated":
+            head += f"  [leaf: truncated] {self.note}"
         return head
 
 
@@ -544,13 +541,9 @@ def _split(node: HierarchyNode, max_depth):
         node.note = f"depth limit {max_depth} reached"
         return None
 
-    try:
-        phi = find_epimorphism(pres)
-    except NoEpimorphism as exc:
-        node.status = "stuck"
-        node.note = str(exc)
-        return None
-    step = hnn_step(pres, phi)
+    # every generator occurs and the root has two or more letters, so the
+    # rank is at least 2 and an epimorphism exists
+    step = hnn_step(pres, find_epimorphism(pres))
     return step.base, "hnn", step
 
 

@@ -10,8 +10,9 @@ from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 import onerel
+from onerel import graphs
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
-from onerel.errors import InputError
+from onerel.errors import InputError, InternalCheckError
 from onerel.graphs import (CycleLift, Graph, NotApplicable, cycle_space,
                            lift_cycle)
 from onerel.intlinalg import spans_saturated
@@ -370,3 +371,200 @@ class TestForestShape:
         run = subprocess.run([sys.executable, "-c", code, src],
                              capture_output=True, text=True, check=True)
         assert run.stdout.strip() == "False"
+
+
+# -- lift_cycle as it was before the forest count built the lift ---------------
+# It searched for the lift: prune the support of its leaves, then try each
+# designated edge its forest leaves out for a unit multiple of its
+# fundamental cycle.  The differential test below holds the direct
+# construction to the search's results.  The helpers of onerel.graphs that
+# both share are imported.
+
+def _reference_walk_is_embedded(graph, walk):
+    visited = []
+    for e, sign in walk:
+        tail, head, _ = graph.edges[e]
+        visited.append(tail if sign > 0 else head)
+    return len(visited) == len(set(visited))
+
+
+def _reference_solve_unit(domain, r_h, lam_h):
+    if not lam_h:
+        return None
+    if domain.is_field:
+        return domain.coerce(r_h * domain.inv(lam_h))
+    if r_h % lam_h:
+        return None
+    q = r_h // lam_h
+    return q if domain.is_unit(q) else None
+
+
+def reference_lift_cycle(graph, h_edges, r, domain=ZZ):
+    h = {graphs._edge_index(graph, e) for e in h_edges}
+    if not h.issubset(range(graph.n_edges())):
+        raise InputError("designated edges outside the graph")
+    r = {graphs._edge_index(graph, e): domain.coerce(c)
+         for e, c in (r.items() if isinstance(r, dict) else r)}
+    r = {e: c for e, c in r.items() if c}
+    if not r:
+        return NotApplicable("the chain is zero")
+    if graph.boundary(r, domain):
+        return NotApplicable("the chain is not a cycle (nonzero boundary)")
+    if not any(e in h for e in r):
+        return NotApplicable("the cycle has no support on the designated edges")
+
+    off_h = [e for e in range(graph.n_edges()) if e not in h]
+    forest0, parent0 = graph.spanning_forest(edge_subset=off_h)
+    left_out = sorted(h - graphs._extend_forest(graph, forest0, h))
+    if len(left_out) != 1 or not domain.is_unit(r.get(left_out[0], domain.zero)):
+        return NotApplicable(NOT_SPANNED)
+
+    gamma_edges = set(r)
+    changed = True
+    while changed:
+        changed = False
+        degree = {}
+        for e in gamma_edges:
+            tail, head, _ = graph.edges[e]
+            degree[tail] = degree.get(tail, 0) + 1
+            degree[head] = degree.get(head, 0) + 1
+        drop = {e for e in gamma_edges
+                if degree[graph.edges[e][0]] <= 1 or degree[graph.edges[e][1]] <= 1}
+        drop = {e for e in drop if graph.edges[e][0] != graph.edges[e][1]}
+        if drop:
+            gamma_edges -= drop
+            changed = True
+    if not gamma_edges.intersection(h):
+        return NotApplicable("pruned support subgraph misses the designated edges")
+
+    gamma_forest0, _ = graph.spanning_forest(edge_subset=gamma_edges - h)
+    forest, parent = graph.spanning_forest(
+        edge_subset=graphs._extend_forest(graph, gamma_forest0, gamma_edges & h))
+    candidates = sorted(e for e in gamma_edges.intersection(h) if e not in forest)
+    if not candidates:
+        return NotApplicable("every designated edge is a forest edge; no cycle to lift")
+
+    off_basis, off_walks = graphs._fundamental_cycles(graph, off_h, forest0, parent0, domain)
+    last_reason = "no unit solution"
+    for e_star in candidates:
+        tail, head, _ = graph.edges[e_star]
+        walk = [(e_star, 1)] + graphs._tree_route(parent, head, tail)
+        chain = graphs._walk_chain(walk, domain)
+        if not _reference_walk_is_embedded(graph, walk):
+            last_reason = "candidate fundamental cycle is not embedded"
+            continue
+        unit = _reference_solve_unit(domain, r.get(e_star, domain.zero),
+                                     chain.get(e_star, domain.zero))
+        if unit is None:
+            last_reason = "no unit makes the designated-edge projections match"
+            continue
+        residual = dict(r)
+        for j, c in chain.items():
+            nc = domain.coerce(residual.get(j, 0) - unit * c)
+            if nc:
+                residual[j] = nc
+            else:
+                residual.pop(j, None)
+        if any(j in h for j in residual):
+            last_reason = "residual still meets the designated edges"
+            continue
+        coeffs = [residual.get(walk[0][0], domain.zero) for walk in off_walks]
+        return CycleLift(cycle_walk=walk, cycle_chain=chain, unit=unit,
+                         k_coefficients=coeffs, k_basis=off_basis, verified=True)
+    return NotApplicable(last_reason)
+
+
+def lift_outcome(lift, graph, h, r, domain):
+    """The reason of a refusal, or a lift's walk, chain, unit, coefficients and basis."""
+    result = lift(graph, h, r, domain)
+    if isinstance(result, NotApplicable):
+        return result.reason
+    assert result.verified
+    return (result.cycle_walk, result.cycle_chain, result.unit,
+            [(type(c), c) for c in result.k_coefficients], result.k_basis)
+
+
+class TestLiftAgainstTheSearch:
+    """The direct lift gives what the search gave, refusals and lifts alike."""
+
+    @pytest.mark.parametrize("domain", [ZZ, QQ, PrimeFieldDomain(2), PrimeFieldDomain(3),
+                                        PrimeFieldDomain(5)],
+                             ids=["Z", "Q", "F2", "F3", "F5"])
+    def test_same_outcome_on_random_multigraphs(self, rng, domain):
+        outcomes = {}
+        for _ in range(3000):
+            g = random_multigraph(rng)
+            n = g.n_edges()
+            h = rng.sample(range(n), rng.randrange(1, min(n, 3) + 1))
+            kind = rng.random()
+            if kind < 0.1:
+                r = {}                     # the zero chain
+            elif kind < 0.25:              # any chain, most often not a cycle
+                r = {e: rng.randrange(-3, 4)
+                     for e in rng.sample(range(n), rng.randrange(1, n + 1))}
+            else:                          # a combination of basis cycles
+                r = {}
+                for chain in cycle_space(g).basis:
+                    coeff = rng.randrange(-3, 4)
+                    for e, c in chain.items():
+                        r[e] = r.get(e, 0) + coeff * c
+            new = lift_outcome(lift_cycle, g, h, r, domain)
+            assert new == lift_outcome(reference_lift_cycle, g, h, r, domain), (g.edges, h, r)
+            kind = new if isinstance(new, str) else "lift"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert outcomes["lift"] >= 200, outcomes
+        assert {"the chain is zero", "the chain is not a cycle (nonzero boundary)",
+                "the cycle has no support on the designated edges", NOT_SPANNED} \
+            <= outcomes.keys(), outcomes
+
+
+def _forge_unit(lift, graph, domain):
+    lift.unit = domain.coerce(lift.unit + 1)
+
+
+def _forge_k_coefficient(lift, graph, domain):
+    lift.k_coefficients[-1] = domain.coerce(lift.k_coefficients[-1] + 1)
+
+
+def _forge_walk_step(lift, graph, domain):
+    # a fundamental cycle's edges are distinct, so the walk's chain loses e
+    e, s = lift.cycle_walk[-1]
+    lift.cycle_walk[-1] = ((e + 1) % graph.n_edges(), s)
+
+
+class TestLiftVerifierRejectsForgeries:
+    """A valid lift with one part changed fails re-verification."""
+
+    @pytest.mark.parametrize("forge", [_forge_unit, _forge_k_coefficient, _forge_walk_step])
+    @pytest.mark.parametrize("domain", [ZZ, QQ, PrimeFieldDomain(2), PrimeFieldDomain(3)],
+                             ids=["Z", "Q", "F2", "F3"])
+    def test_forgeries_raise(self, rng, domain, forge):
+        forged = 0
+        while forged < 30:
+            g = random_multigraph(rng)
+            h = rng.sample(range(g.n_edges()), rng.randrange(1, min(g.n_edges(), 3) + 1))
+            r = {}
+            for chain in cycle_space(g).basis:
+                coeff = rng.randrange(-3, 4)
+                for e, c in chain.items():
+                    r[e] = r.get(e, 0) + coeff * c
+            lift = lift_cycle(g, h, r, domain)
+            if not isinstance(lift, CycleLift) or not lift.k_coefficients:
+                continue
+            r = {e: x for e, c in r.items() if (x := domain.coerce(c))}
+            graphs._verify_lift(g, set(h), r, lift, domain)
+            forge(lift, g, domain)
+            with pytest.raises(InternalCheckError, match="^lift verification failed: "):
+                graphs._verify_lift(g, set(h), r, lift, domain)
+            forged += 1
+
+    def test_a_basis_chain_on_h_is_refused(self):
+        g = Graph.from_edge_list((Path(__file__).parent / "golden" / "inputs"
+                                  / "designated_triangle.graph").read_text())
+        lift = lift_cycle(g, ["e1", "e3", "e4"], {"e1": -1, "e2": 1, "e4": -1, "e5": 2})
+        h = {g.label_index[e] for e in ("e1", "e3", "e4")}
+        r = {g.label_index[e]: c for e, c in (("e1", -1), ("e2", 1), ("e4", -1), ("e5", 2))}
+        graphs._verify_lift(g, h, r, lift, ZZ)
+        lift.k_basis = [{**lift.k_basis[0], g.label_index["e3"]: 1}]
+        with pytest.raises(InternalCheckError, match="not a cycle off H"):
+            graphs._verify_lift(g, h, r, lift, ZZ)
