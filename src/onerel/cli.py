@@ -53,7 +53,10 @@ def _quotient_map(pres, args):
         images = {}
         for chunk in args.to_abelian.split(","):
             name, _, value = chunk.partition("=")
-            images[pres.gen_index(name.strip())] = _integer(value, "image")
+            index = pres.gen_index(name.strip())
+            if index in images:
+                raise InputError(f"--to-abelian names generator {name.strip()!r} twice")
+            images[index] = _integer(value, "image")
         return QuotientMap.to_abelian(pres, images)
     if args.quotient or pres.quotient_images is not None:
         return _finite_quotient(pres, args)
@@ -294,6 +297,8 @@ def _cmd_lift(args):
     chain = {}
     for chunk in args.cycle.split(","):
         label, _, coeff = chunk.rpartition(":")
+        if label.strip() in chain:
+            raise InputError(f"--cycle names edge {label.strip()!r} twice")
         chain[label.strip()] = _integer(coeff, "coefficient")
     domain = parse_domain(args.ring)
     result = lift_cycle(graph, h_edges, chain, domain)

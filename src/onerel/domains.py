@@ -13,7 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, UnsupportedError
+
+# F_p needs p <= MAX_PRIME: primality is tested by trial division, which
+# takes about 4 ms at this cap and about 0.4 s at p = 10^13
+MAX_PRIME = 2**31 - 1
 
 
 class Domain:
@@ -93,6 +97,8 @@ class PrimeFieldDomain(Domain):
     is_field = True
 
     def __init__(self, p):
+        if p > MAX_PRIME:
+            raise UnsupportedError(f"p = {p} is above the supported maximum {MAX_PRIME}")
         if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
@@ -132,5 +138,7 @@ def parse_domain(spec):
         s = s[1:]
     try:
         return PrimeFieldDomain(int(s))
+    except UnsupportedError:
+        raise
     except ValueError as exc:
         raise InputError(f"unknown coefficient domain {spec!r}") from exc

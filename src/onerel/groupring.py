@@ -18,6 +18,10 @@ from .errors import InputError, InternalCheckError, UnsupportedError
 from .intlinalg import nullspace
 from .oracles import GroupOracle
 
+# unique_products_check forms at most this many products: about 0.25 s over
+# Z and 3 s for free-group words of 45 letters each
+MAX_PRODUCTS = 250_000
+
 
 class GroupRingElement:
     __slots__ = ("oracle", "domain", "terms")
@@ -201,6 +205,9 @@ def unique_products_check(oracle, A, B, k, side="plain"):
     B = list(dict.fromkeys(B))
     if not A or not B:
         raise InputError("A and B must be non-empty")
+    if len(A) * len(B) > MAX_PRODUCTS:
+        raise UnsupportedError(f"|A|*|B| = {len(A) * len(B)} products are above the "
+                               f"supported maximum {MAX_PRODUCTS}")
 
     reps = {}
     for a in A:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError, InternalCheckError, UnsupportedError
 from .groupring import (GroupRingMatrix, engulfing_search_finite,
                         non_engulfing_certificate_ordered)
 
@@ -148,7 +148,7 @@ def _least_order(masks, ncols, row_fixed):
                     and not _peel(masks, rest, (c for c in cols if c != col), row_fixed)):
                 break
         else:
-            raise AssertionError(f"no column extends the staircase order {order}")
+            raise InternalCheckError(f"no column extends the staircase order {order}")
         order.append(col)
         finished += done
         rows = rest
@@ -177,7 +177,7 @@ def find_staircase(matrix: GroupRingMatrix, allow_row_permutation=True, cap=12):
     stuck = _peel(masks, range(m), range(n), row_fixed)
     if stuck:
         if not _blocks(masks, stuck, n, row_fixed):
-            raise AssertionError(f"peeling stuck on rows {stuck} that do not block")
+            raise InternalCheckError(f"peeling stuck on rows {stuck} that do not block")
         reason = (f"rows {stuck} block every column order: each column meeting "
                   "them meets at least two")
         if row_fixed:
@@ -187,7 +187,7 @@ def find_staircase(matrix: GroupRingMatrix, allow_row_permutation=True, cap=12):
     order, rows = _least_order(masks, n, row_fixed)
     cert = is_lower_trapezoidal(matrix, rows, order)
     if not isinstance(cert, StaircaseCertificate):
-        raise AssertionError(f"peeling produced an invalid certificate: {cert}")
+        raise InternalCheckError(f"peeling produced an invalid certificate: {cert}")
     return cert
 
 

@@ -92,7 +92,7 @@ def _cases():
                      [cmd, "--file", TREFOIL, "--quotient", LADDER[6]])
         out += _both(f"{cmd}_trefoil_quotient_q",
                      [cmd, "--file", TREFOIL, "--quotient", LADDER[12], "--ring", "Q"])
-        # a generator named twice in --to-abelian
+        # a generator named twice in --to-abelian is refused
         out += _both(f"{cmd}_trefoil_to_abelian_repeated",
                      [cmd, "--file", TREFOIL, "--to-abelian", "a=5,b=2,a=3"])
     out += _both("jacobian_bs12_abelianize_refused",
@@ -178,6 +178,10 @@ def _cases():
                                   "--A", "a,b,a*b", "--B", "1,b^-1", "--k", "2"])
     out += _both("upcheck_bad_oracle",
                  ["upcheck", "--oracle", "sym:3", "--A", "0", "--B", "0"])
+    # 501 * 500 products, past MAX_PRODUCTS = 250,000
+    out += _both("upcheck_z_over_cap",
+                 ["upcheck", "--oracle", "z", "--A", ",".join(map(str, range(501))),
+                  "--B", ",".join(map(str, range(500)))])
 
     out += _both("engulf_cyclic_f3",
                  ["engulf", "--cyclic", "2", "--coeffs", "1,1", "--field", "3"])
@@ -248,7 +252,7 @@ def _cases():
                      ["lift", "--graph", f"{INPUTS}/designated_triangle.graph",
                       "--h-edges", "e1,e3,e4", "--cycle", "e1:-1,e2:1,e4:-1,e5:2",
                       "--ring", ring])
-    # an edge named twice in --cycle
+    # an edge named twice in --cycle is refused
     out += _both("lift_theta_repeated_edge",
                  ["lift", "--graph", THETA, "--h-edges", "e1",
                   "--cycle", "e1:5,e1:1,e2:-1"])
@@ -323,6 +327,11 @@ def _cases():
     out += _both("fox_ring_f3", ["fox", "--file", TREFOIL, "--word", "a^-2*b", "--gen", "a",
                                  "--ring", "3"])
     out += _both("fox_ring_bogus", fox_ring + ["bogus"])
+    # F_p is refused above p = MAX_PRIME = 2^31 - 1, before trial division
+    out += _both("fox_ring_at_cap", ["fox", "--file", TREFOIL, "--word", "a^-2*b", "--gen", "a",
+                                     "--ring", "2147483647"])
+    out += _both("fox_ring_over_cap", ["fox", "--file", TREFOIL, "--word", "a", "--gen", "a",
+                                       "--ring", "1000000000000000003"])
     out += _both("hierarchy_ring_bogus", ["hierarchy", "--file", TREFOIL, "--ring", "bogus"])
     out += _both("weinbaum_ring_bogus", ["weinbaum", "--file", CYCLIC6, "--ring", "bogus"])
 

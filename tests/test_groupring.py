@@ -1,10 +1,12 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from onerel.domains import QQ, ZZ, PrimeFieldDomain
 from onerel.errors import InputError, UnsupportedError
-from onerel.groupring import (GroupRingElement, engulfing_search_finite,
+from onerel.groupring import (MAX_PRODUCTS, GroupRingElement, engulfing_search_finite,
                               non_engulfing_certificate_ordered,
                               unique_products_check)
 from onerel.magnus import leading_term, magnus_compare
@@ -113,6 +115,16 @@ class TestUniqueProducts:
             unique_products_check(ModOracle(2), [0, 1], [0, 1], 3, side="left")
         with pytest.raises(InputError):
             unique_products_check(ModOracle(2), [], [0], 1)
+
+    def test_product_cap(self):
+        # distinct elements count: A's repeats are dropped before the cap
+        n = math.isqrt(MAX_PRODUCTS)
+        report = unique_products_check(ModOracle(n), list(range(n)) * 2, range(n), 1)
+        assert report.product_count == n and not report.verdict
+        message = f"|A|*|B| = {n * (n + 1)} products are above the supported maximum"
+        with pytest.raises(UnsupportedError, match=f"^{re.escape(message)} {MAX_PRODUCTS}$"):
+            unique_products_check(ZPowOracle(1), [(i,) for i in range(n + 1)],
+                                  [(i,) for i in range(n)], 1)
 
     @pytest.mark.parametrize("oracle", [ZPowOracle(1), ZPowOracle(2)])
     def test_ordered_groups_have_left_two_unique_products(self, rng, oracle):

@@ -4,7 +4,7 @@ import pytest
 
 from onerel import trapezoid
 from onerel.domains import ZZ, PrimeFieldDomain
-from onerel.errors import InputError, UnsupportedError
+from onerel.errors import InputError, InternalCheckError, UnsupportedError
 from onerel.foxcalc import QuotientMap, resolution_complex
 from onerel.groupring import GroupRingElement, GroupRingMatrix
 from onerel.oracles import ModOracle, ZPowOracle
@@ -228,6 +228,23 @@ class TestFindStaircase:
         # column 1 finishes row 1 alone, so rows [0, 1] are no proof
         monkeypatch.setattr(trapezoid, "_peel", lambda *args: [0, 1])
         with pytest.raises(AssertionError):
+            find_staircase(zmatrix([[1, 0], [1, 1]]))
+
+    def test_a_failed_recheck_is_an_internal_check_error(self, monkeypatch):
+        # an order the checker refuses
+        monkeypatch.setattr(trapezoid, "is_lower_trapezoidal", lambda *args: None)
+        with pytest.raises(InternalCheckError, match="^peeling produced an invalid"):
+            find_staircase(zmatrix([[1, 0], [1, 1]]))
+        monkeypatch.undo()
+        # peeling that clears every row once, then sticks on each column tried
+        calls = []
+
+        def peel_once(*args):
+            calls.append(args)
+            return [] if len(calls) == 1 else [0]
+
+        monkeypatch.setattr(trapezoid, "_peel", peel_once)
+        with pytest.raises(InternalCheckError, match="^no column extends"):
             find_staircase(zmatrix([[1, 0], [1, 1]]))
 
     def test_impossible_reason_names_the_rows(self):
