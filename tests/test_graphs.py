@@ -474,6 +474,16 @@ def reference_lift_cycle(graph, h_edges, r, domain=ZZ):
     return NotApplicable(last_reason)
 
 
+def random_cycle(rng, graph):
+    """A combination of the graph's basis cycles with coefficients in -3..3."""
+    r = {}
+    for chain in cycle_space(graph).basis:
+        coeff = rng.randrange(-3, 4)
+        for e, c in chain.items():
+            r[e] = r.get(e, 0) + coeff * c
+    return r
+
+
 def lift_outcome(lift, graph, h, r, domain):
     """The reason of a refusal, or a lift's walk, chain, unit, coefficients and basis."""
     result = lift(graph, h, r, domain)
@@ -502,12 +512,8 @@ class TestLiftAgainstTheSearch:
             elif kind < 0.25:              # any chain, most often not a cycle
                 r = {e: rng.randrange(-3, 4)
                      for e in rng.sample(range(n), rng.randrange(1, n + 1))}
-            else:                          # a combination of basis cycles
-                r = {}
-                for chain in cycle_space(g).basis:
-                    coeff = rng.randrange(-3, 4)
-                    for e, c in chain.items():
-                        r[e] = r.get(e, 0) + coeff * c
+            else:
+                r = random_cycle(rng, g)
             new = lift_outcome(lift_cycle, g, h, r, domain)
             assert new == lift_outcome(reference_lift_cycle, g, h, r, domain), (g.edges, h, r)
             kind = new if isinstance(new, str) else "lift"
@@ -543,11 +549,7 @@ class TestLiftVerifierRejectsForgeries:
         while forged < 30:
             g = random_multigraph(rng)
             h = rng.sample(range(g.n_edges()), rng.randrange(1, min(g.n_edges(), 3) + 1))
-            r = {}
-            for chain in cycle_space(g).basis:
-                coeff = rng.randrange(-3, 4)
-                for e, c in chain.items():
-                    r[e] = r.get(e, 0) + coeff * c
+            r = random_cycle(rng, g)
             lift = lift_cycle(g, h, r, domain)
             if not isinstance(lift, CycleLift) or not lift.k_coefficients:
                 continue
