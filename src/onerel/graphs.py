@@ -287,7 +287,7 @@ def lift_cycle(graph: Graph, h_edges, r, domain=ZZ):
 
 
 def _verify_lift(graph, h, r, lift, domain):
-    """Re-check a lift from scratch, raising :class:`InternalCheckError`.
+    """Re-check every part of a lift, raising :class:`InternalCheckError`.
 
     The walk is an embedded closed walk whose chain is ``cycle_chain`` and
     meets ``h``; the unit is a unit; the basis chains are cycles off ``h``;
